@@ -8,15 +8,17 @@
 //   network construction, the one-time FlatNetwork lowering (arena
 //   bytes recorded alongside), decomposition-tree build + annotation,
 //   the complete criticality analysis (all d_j), the full
-//   fault-dictionary build (gated by RRSN_DICT_MAX_SEGMENTS with a
-//   "skipped" JSON marker above the gate), an always-on sampled
-//   dictionary stage (RRSN_DICT_SAMPLE_ROWS evenly-spaced syndrome rows
-//   on the shared flat arena — the stage that proves the dictionary
-//   kernel works at 10^6 segments where the full build is quadratic),
-//   an always-on campaign-classification stage (RRSN_CAMPAIGN_SAMPLE
-//   faults through campaign::expectedAccessibility, classified
-//   accessible / degraded / lost), and a fixed-budget SPEA-2 run
-//   (50 generations; gated by RRSN_EA_MAX_SEGMENTS).
+//   fault-dictionary build (the certifier's exact run projected into
+//   syndrome rows; gated by RRSN_DICT_MAX_SEGMENTS with a "skipped"
+//   JSON marker above the gate), an always-on sampled dictionary stage
+//   (RRSN_DICT_SAMPLE_ROWS evenly-spaced rows of the batched reference
+//   engine on the shared flat arena — the stage that proves the
+//   row kernel works at 10^6 segments where the full build is
+//   quadratic), an always-on campaign-classification stage
+//   (RRSN_CAMPAIGN_SAMPLE faults through the same reference engine via
+//   campaign::expectedAccessibility, classified accessible / degraded /
+//   lost), and a fixed-budget SPEA-2 run (50 generations; gated by
+//   RRSN_EA_MAX_SEGMENTS).
 //
 // The parallel stages are timed twice — once at RRSN_THREADS=1 and once
 // at the configured thread count — and the results are checked to be
@@ -102,16 +104,15 @@ int main() {
   using namespace rrsn;
   const std::string set = bench::envOr("RRSN_SCALABILITY_SET", "medium");
   const std::size_t threads = threadCount();
-  // The batched engine (RRSN_DICT_MODE=batched, the release default)
-  // derives each fault's whole syndrome row from a few frontier sweeps,
-  // so dictionary builds now reach the 10^5-segment tier in minutes
-  // where the per-probe path needed O(|faults|*|instruments|) simulated
-  // accesses.  The gate remains for the 10^6-segment runs — the full
-  // build is still O(|faults| * |vertices|) — which is why the sampled
-  // dictionary stage below runs unconditionally: it proves the kernel
-  // at any size without paying the quadratic sweep.  Skipped stages
-  // carry an explicit "skipped" marker in the JSON so a missing stage
-  // is distinguishable from a lost one.
+  // The dictionary is a projection of the certifier's verdict table,
+  // which decides each fault's whole row by dataflow sweeps instead of
+  // O(|instruments|) simulated accesses, so builds reach the
+  // 10^5-segment tier.  The gate remains for the 10^6-segment runs —
+  // the full build is still O(|faults| * |vertices|) — which is why the
+  // sampled row stage below runs unconditionally: it proves the row
+  // kernel at any size without paying the quadratic sweep.  Skipped
+  // stages carry an explicit "skipped" marker in the JSON so a missing
+  // stage is distinguishable from a lost one.
   const std::uint64_t dictMaxSegments =
       bench::envOrU64("RRSN_DICT_MAX_SEGMENTS", 120'000);
   const std::uint64_t eaMaxSegments =
@@ -211,8 +212,9 @@ int main() {
           });
     }
 
-    // Sampled syndrome rows on the shared arena — the dictionary kernel
-    // at full network size, decoupled from the quadratic full build.
+    // Sampled syndrome rows on the shared arena — the batched reference
+    // kernel at full network size, decoupled from the quadratic full
+    // build.
     const fault::FaultUniverse universe(net);
     const std::vector<std::size_t> dictSample =
         evenSample(universe.size(), dictSampleRows);
@@ -240,8 +242,8 @@ int main() {
 
     // Campaign classification over a fault sample: each scenario's
     // control-aware expected accessibility, folded to
-    // accessible/degraded/lost (the campaign engine's oracle, on the
-    // same shared arena).
+    // accessible/degraded/lost (the batched reference rows the campaign
+    // oracle is checked against, on the same shared arena).
     const std::size_t instruments = net.instruments().size();
     const std::vector<std::size_t> campSample =
         evenSample(universe.size(), campaignSample);

@@ -10,7 +10,6 @@
 
 #include "campaign/checkpoint.hpp"
 #include "diag/batched.hpp"
-#include "diag/diagnosis.hpp"
 #include "fault/effects.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
@@ -18,6 +17,7 @@
 #include "rsn/graph_view.hpp"
 #include "sp/decomposition.hpp"
 #include "support/rng.hpp"
+#include "verify/certifier.hpp"
 
 namespace rrsn::campaign {
 
@@ -178,33 +178,18 @@ void collectDiffs(const FaultRecord& rec, std::size_t instruments,
   }
 }
 
-Expectation expectationFromRow(const diag::Syndrome& row, std::size_t n) {
-  Expectation e{DynamicBitset(n), DynamicBitset(n)};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (row.passed.test(2 * i)) e.observable.set(i);
-    if (row.passed.test(2 * i + 1)) e.settable.set(i);
-  }
-  return e;
-}
-
 }  // namespace
-
-Expectation expectedAccessibility(const rsn::Network& net,
-                                  const rsn::GraphView& /*gv*/,
-                                  const fault::Fault& f) {
-  // One oracle implementation: the batched syndrome engine computes the
-  // exact retargeting semantics (strict, depth-bounded and clean-suffix
-  // break tolerance — see diag/batched.hpp); campaign_test validates it
-  // against the simulator on the example networks, and the dictionary's
-  // verify mode cross-checks it row-for-row against per-probe builds.
-  const diag::BatchedSyndromeEngine engine(net);
-  return expectedAccessibility(engine, net.instruments().size(), f);
-}
 
 Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
                                   std::size_t instruments,
                                   const fault::Fault& f, std::size_t worker) {
-  return expectationFromRow(engine.row(&f, worker), instruments);
+  const diag::Syndrome row = engine.row(&f, worker);
+  Expectation e{DynamicBitset(instruments), DynamicBitset(instruments)};
+  for (std::size_t i = 0; i < instruments; ++i) {
+    if (row.passed.test(2 * i)) e.observable.set(i);
+    if (row.passed.test(2 * i + 1)) e.settable.set(i);
+  }
+  return e;
 }
 
 CampaignSummary CampaignResult::summary() const {
@@ -598,10 +583,10 @@ void CampaignEngine::buildTransientUniverse() {
                 config_.seed);
 }
 
-/// Per-single-fault oracle rows computed once per run(): the expected
-/// (control-aware) verdicts from the batched syndrome engine plus both
-/// plain structural oracles.  Pair scenarios compose entries by AND;
-/// transient scenarios use the fault-free row.
+/// Per-single-fault oracle rows computed once per run() for the singles
+/// the universe references: the expected (control-aware) verdicts from
+/// the certifier plus both plain structural oracles.  Pair scenarios
+/// compose entries by AND; transient scenarios use the fault-free row.
 struct CampaignEngine::OracleCache {
   std::vector<Expectation> expect;       ///< per singles() index
   std::vector<DynamicBitset> graphObs, graphSet;
@@ -727,45 +712,78 @@ CampaignResult CampaignEngine::run() {
 
   // Per-single oracle rows, shared by every scenario of the sweep (a
   // pair composes two rows; recomputing them per pair would square the
-  // oracle cost the batched engine exists to avoid).
+  // oracle cost).  Only the singles the universe references get rows: a
+  // sampled campaign pays for its sample, a transient one only for the
+  // fault-free row.
   OracleCache oracles;
   {
     RRSN_OBS_SPAN("campaign.oracles");
+    static const obs::MetricId kOracleRows =
+        obs::counter("campaign.oracle_rows");
     const std::size_t m = singles_.size();
     const std::size_t n = result.instruments;
+    std::vector<bool> referenced(m, false);
+    for (const FaultScenario& s : universe_) {
+      if (s.kind == CampaignMode::Transient) continue;
+      referenced[s.aIdx] = true;
+      if (s.kind == CampaignMode::Pairs) referenced[s.bIdx] = true;
+    }
+    std::vector<std::size_t> rows;
+    // The certifier runs over the referenced singles' primitives only
+    // (same linear-id layout as excludePrimitives); a referenced stuck
+    // branch brings its mux's other branches along, which are skipped.
+    DynamicBitset exclude(net_->primitiveCount());
+    exclude.setAll();
+    for (std::size_t k = 0; k < m; ++k) {
+      if (!referenced[k]) continue;
+      rows.push_back(k);
+      exclude.reset(net_->linearId(fault::refOf(singles_[k])));
+    }
+    obs::count(kOracleRows, rows.size());
+
     oracles.expect.resize(m);
     oracles.graphObs.resize(m);
     oracles.graphSet.resize(m);
     oracles.treeObs.resize(m);
     oracles.treeSet.resize(m);
+    const verify::CertificationResult cert =
+        verify::Certifier(flat_).runExact(std::move(exclude));
+    oracles.faultFree = {cert.reachable, cert.reachable};
+    // Both universes are in canonical fault order, and every referenced
+    // single is in the certifier's, so one merge walk maps them.
+    std::size_t fi = 0;
+    for (const std::size_t k : rows) {
+      while (fi < cert.universe.size() && cert.universe[fi] != singles_[k])
+        ++fi;
+      RRSN_CHECK(fi < cert.universe.size(),
+                 "referenced single missing from the certified universe");
+      Expectation& e = oracles.expect[k];
+      e = {DynamicBitset(n), DynamicBitset(n)};
+      for (std::size_t i = 0; i < n; ++i) {
+        if (cert.read(fi, i) == verify::Verdict::Proven) e.observable.set(i);
+        if (cert.write(fi, i) == verify::Verdict::Proven) e.settable.set(i);
+      }
+    }
     const rsn::GraphView gv = rsn::buildGraphView(*net_);
     const sp::DecompositionTree tree = sp::DecompositionTree::build(*net_);
-    // The engine itself is per-run (its scratch lanes are sized by the
-    // current thread count), but it shares the arena lowered once at
-    // engine construction — run() never re-flattens.
-    const diag::BatchedSyndromeEngine engine(flat_);
-    oracles.faultFree = expectationFromRow(engine.row(nullptr, 0), n);
-    parallelForChunks(
-        m, [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const fault::Fault& f = singles_[k];
-            oracles.expect[k] = expectationFromRow(engine.row(&f, worker), n);
-            const fault::AccessibilityLoss graphLoss =
-                fault::lossUnderFaultGraph(*net_, gv, f);
-            const fault::AccessibilityLoss treeLoss =
-                fault::lossUnderFaultTree(tree, f);
-            const auto invert = [n](const DynamicBitset& lost) {
-              DynamicBitset kept(n);
-              kept.setAll();
-              lost.forEachSet([&](std::size_t i) { kept.reset(i); });
-              return kept;
-            };
-            oracles.graphObs[k] = invert(graphLoss.unobservable);
-            oracles.graphSet[k] = invert(graphLoss.unsettable);
-            oracles.treeObs[k] = invert(treeLoss.unobservable);
-            oracles.treeSet[k] = invert(treeLoss.unsettable);
-          }
-        });
+    parallelFor(rows.size(), [&](std::size_t r) {
+      const std::size_t k = rows[r];
+      const fault::Fault& f = singles_[k];
+      const fault::AccessibilityLoss graphLoss =
+          fault::lossUnderFaultGraph(*net_, gv, f);
+      const fault::AccessibilityLoss treeLoss =
+          fault::lossUnderFaultTree(tree, f);
+      const auto invert = [n](const DynamicBitset& lost) {
+        DynamicBitset kept(n);
+        kept.setAll();
+        lost.forEachSet([&](std::size_t i) { kept.reset(i); });
+        return kept;
+      };
+      oracles.graphObs[k] = invert(graphLoss.unobservable);
+      oracles.graphSet[k] = invert(graphLoss.unsettable);
+      oracles.treeObs[k] = invert(treeLoss.unobservable);
+      oracles.treeSet[k] = invert(treeLoss.unsettable);
+    });
   }
 
   // Cancellation: an external token, an engine-owned deadline, or both.

@@ -45,8 +45,9 @@
 //    sim-vs-structural differences are expected; they are itemized as
 //    *gaps*, never dropped.  For pairs the plain verdict is composed
 //    (AND) the same way as the expected one.
-//  * the *expected* verdict (expectedAccessibility below): structural
-//    reachability composed with a control-dependency closure.  In
+//  * the *expected* verdict (Expectation below, read from the
+//    certifier): structural reachability composed with a
+//    control-dependency closure.  In
 //    Single and Transient mode a disagreement with the simulation is a
 //    *mismatch* (an engine or analysis bug — campaigns must report
 //    zero); in Pairs mode disagreements are the interaction effects
@@ -80,7 +81,6 @@
 #include "support/table.hpp"
 
 namespace rrsn::rsn {
-struct GraphView;
 class FlatNetwork;
 }
 namespace rrsn::sp {
@@ -144,21 +144,17 @@ std::string describe(const rsn::Network& net, const FaultScenario& s);
 /// break-tolerant access (reads tolerate the break on the scan-in side
 /// of the target, writes on the scan-out side) additionally needs every
 /// configuration round to finish before the break joins the path, or a
-/// suffix free of mux address registers past the break.  Implemented by
-/// diag::BatchedSyndromeEngine (the single oracle implementation); see
+/// suffix free of mux address registers past the break.  Campaigns read
+/// these rows from the certifier (verify::Certifier::runExact); see
 /// diag/batched.hpp for the full mode derivation.
 struct Expectation {
   DynamicBitset observable;
   DynamicBitset settable;
 };
-Expectation expectedAccessibility(const rsn::Network& net,
-                                  const rsn::GraphView& gv,
-                                  const fault::Fault& f);
 
-/// Same oracle over a prebuilt engine — for callers that hold one for a
-/// whole sweep (the convenience overload above lowers the network and
-/// builds a fresh engine per call, which squares the flattening cost of
-/// a batch).  `instruments` sizes the result rows; `worker` selects the
+/// The same rows from the batched syndrome engine — the reference the
+/// certifier is replayed against (checked mode, parity suites and
+/// gates).  `instruments` sizes the result rows; `worker` selects the
 /// engine's scratch lane.
 Expectation expectedAccessibility(const diag::BatchedSyndromeEngine& engine,
                                   std::size_t instruments,

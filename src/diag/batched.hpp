@@ -1,6 +1,6 @@
-// Batched fault-dictionary rows via frontier traversal.
+// Batched syndrome rows via frontier traversal.
 //
-// The per-probe dictionary build retargets 2·N accesses per fault on a
+// Measuring a row on the simulator retargets 2·N accesses per fault on a
 // fresh simulator — O(|faults| · |instruments|) full path searches that
 // mostly recompute the same reachability.  This engine lowers the
 // network once into a flat control view (sim::ControlView) and derives
@@ -28,10 +28,10 @@
 // register), and clean-suffix tolerance (no mux address register lies
 // downstream of the break on the path, so the poison that every
 // exposed CSU smears over the downstream cells is never consulted).
-// campaign::expectedAccessibility delegates here, and campaign_test
-// validates the shared oracle against the simulator on the example
-// networks; RRSN_DICT_MODE=verify additionally cross-checks every row
-// against the per-probe path at runtime.
+// This engine is the reference the certifier (verify/certifier.hpp) is
+// replayed against under RRSN_CERTIFY_MODE=checked; production rows
+// (fault dictionary, campaign oracle) come from the certifier.  It
+// builds in rrsn_verify, the only library that replays it.
 #pragma once
 
 #include <cstdint>
@@ -46,29 +46,30 @@
 
 namespace rrsn::diag {
 
-struct Syndrome;
+/// Pass/fail outcome of the standard test-access set: bit 2i is the
+/// read of instrument i, bit 2i+1 the write.
+struct Syndrome {
+  DynamicBitset passed;
 
-/// How FaultDictionary::build computes syndromes.
-enum class DictMode : std::uint8_t {
-  Probe,    ///< per-access simulator retargeting (the reference path)
-  Batched,  ///< frontier sweeps over the control view
-  Verify,   ///< both, cross-checked row-for-row (raises on mismatch)
+  bool operator==(const Syndrome&) const = default;
+
+  /// Number of differing outcomes.
+  std::size_t distanceTo(const Syndrome& other) const;
+
+  /// Hamming distance with an early exit: returns the exact distance
+  /// when it is <= bound, otherwise some value > bound (the partial
+  /// count at the word where the bound was exceeded).
+  std::size_t distanceToAtMost(const Syndrome& other,
+                               std::size_t bound) const;
 };
 
-/// RRSN_DICT_MODE=probe|batched|verify; unset (or unrecognized, with a
-/// one-time warning) defaults to verify in debug builds and batched in
-/// release builds.
-DictMode dictModeFromEnv();
-
-const char* dictModeName(DictMode mode);
-
-/// Shared-read engine: one instance per build, row() callable
+/// Shared-read engine: one instance per sweep, row() callable
 /// concurrently as long as every caller passes a distinct worker lane.
 class BatchedSyndromeEngine {
  public:
   /// Lowers `net` into a fresh flat view first.  Callers that already
-  /// hold one (campaigns, services) should pass it instead so the
-  /// network is flattened once, not per engine.
+  /// hold one (the certifier's checked mode) should pass it instead so
+  /// the network is flattened once, not per engine.
   explicit BatchedSyndromeEngine(const rsn::Network& net);
 
   /// Shares an existing arena: no lowering, just the scratch lanes.

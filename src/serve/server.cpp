@@ -75,9 +75,6 @@ const EndpointMetrics* endpointMetrics(const std::string& method) {
     t["diagnose"] = {obs::counter("serve.diagnose.requests"),
                      obs::counter("serve.diagnose.errors"),
                      obs::histogram("serve.diagnose.latency_us")};
-    t["whatif"] = {obs::counter("serve.whatif.requests"),
-                   obs::counter("serve.whatif.errors"),
-                   obs::histogram("serve.whatif.latency_us")};
     t["certify"] = {obs::counter("serve.certify.requests"),
                     obs::counter("serve.certify.errors"),
                     obs::histogram("serve.certify.latency_us")};
@@ -286,51 +283,12 @@ json::Value Server::dispatch(const std::string& method,
   }
 
   if (method != "analyze" && method != "harden" && method != "diagnose" &&
-      method != "campaign" && method != "certify" && method != "whatif") {
+      method != "campaign" && method != "certify") {
     throw RequestError{"UNIMPLEMENTED", "unknown method: " + method};
   }
 
   // Every remaining endpoint analyzes a parsed network.
   const auto entry = internNetwork(stringParam(params, "netlist"));
-
-  if (method == "whatif") {
-    // Validation first (netlist parse above, change shape here), so a
-    // malformed request is INVALID_ARGUMENT — never a cheery stub
-    // acknowledgement of garbage.
-    const std::string& change = stringParam(params, "change");
-    const auto parts = split(change, ':');
-    const bool isBreak = parts.size() == 2 && parts[0] == "break";
-    const bool isStuck = parts.size() == 3 && parts[0] == "stuck";
-    if (!isBreak && !isStuck) {
-      throw UsageError(
-          "param change must be break:<segment> or stuck:<mux>:<branch>, "
-          "got '" + change + "'");
-    }
-    if (isBreak && entry->net.findSegment(parts[1]) == rsn::kNone) {
-      throw UsageError("param change names unknown segment '" + parts[1] +
-                       "'");
-    }
-    if (isStuck) {
-      const rsn::MuxId mux = entry->net.findMux(parts[1]);
-      if (mux == rsn::kNone) {
-        throw UsageError("param change names unknown mux '" + parts[1] + "'");
-      }
-      const auto flat = flatOf(*entry);
-      (void)parseUintBounded(parts[2], "param change branch", 0,
-                             flat->muxArity()[mux] - 1);
-    }
-    // Placeholder until the incremental delta-update engine lands (see
-    // ROADMAP "what-if" item): acknowledges the validated request shape
-    // without pretending to compute anything.
-    json::Object o;
-    o["stub"] = json::Value(true);
-    o["change"] = json::Value(change);
-    o["note"] = json::Value(
-        "what-if re-analysis is not implemented yet; full analyze runs "
-        "are cached per design, so re-submitting the edited netlist is "
-        "the supported path");
-    return json::Value(std::move(o));
-  }
 
   if (method == "analyze") {
     const std::uint64_t seed = uintParam(params, "seed", 1, 0, ~0ull);

@@ -50,11 +50,11 @@ class Server {
   /// Dispatches one request envelope to its endpoint and returns the
   /// response envelope.  Thread-safe; never throws.
   ///
-  /// Methods: ping, analyze, lint, harden, campaign, diagnose, whatif
-  /// (stub), stats, shutdown.  Every analysis method takes the netlist
-  /// text inline in params.netlist; numeric params accept JSON integers
-  /// or decimal strings (strings go through the same parseUintBounded
-  /// validator as the rrsn_tool command line).
+  /// Methods: ping, analyze, lint, harden, campaign, diagnose, certify,
+  /// stats, shutdown; anything else is UNIMPLEMENTED.  Every analysis
+  /// method takes the netlist text inline in params.netlist; numeric
+  /// params accept JSON integers or decimal strings (strings go through
+  /// the same parseUintBounded validator as the rrsn_tool command line).
   json::Value handle(const json::Value& request);
 
   /// Sequential frame loop over a byte stream: read request, handle,

@@ -6,10 +6,10 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <utility>
 
-#include "campaign/campaign.hpp"
 #include "diag/batched.hpp"
 #include "obs/obs.hpp"
 #include "support/error.hpp"
@@ -817,13 +817,13 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
           if (!hasVulnerable && fi % options.crossCheckSampleEvery != 0)
             continue;
           checkedRows.fetch_add(1, std::memory_order_relaxed);
-          const campaign::Expectation expect =
-              campaign::expectedAccessibility(*oracle, instruments, f, worker);
+          const diag::Syndrome expect = oracle->row(&f, worker);
           for (std::size_t i = 0; i < instruments; ++i) {
             const bool provenRead = (row[i] & 3u) == 0u;
             const bool provenWrite = ((row[i] >> 2) & 3u) == 0u;
-            if (provenRead == expect.observable.test(i) &&
-                provenWrite == expect.settable.test(i))
+            const bool oracleRead = expect.passed.test(2 * i);
+            const bool oracleWrite = expect.passed.test(2 * i + 1);
+            if (provenRead == oracleRead && provenWrite == oracleWrite)
               continue;
             std::string msg =
                 "fault #" + std::to_string(fi) + " instrument #" +
@@ -831,8 +831,8 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
                 std::string(1, toChar(static_cast<Verdict>(row[i] & 3u))) +
                 std::string(
                     1, toChar(static_cast<Verdict>((row[i] >> 2) & 3u))) +
-                " vs oracle " + (expect.observable.test(i) ? "A" : "L") +
-                (expect.settable.test(i) ? "A" : "L");
+                " vs oracle " + (oracleRead ? "A" : "L") +
+                (oracleWrite ? "A" : "L");
             const std::lock_guard<std::mutex> lock(divergenceMu);
             divergences.push_back(std::move(msg));
           }
@@ -857,6 +857,25 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
   obs::count(kRowsFixpoint, result.fixpointRowCount);
   obs::count(kRowsCrossChecked, result.crossCheckedRowCount);
   if (const std::size_t u = unknownCells.load()) obs::count(kCellsUnknown, u);
+  return result;
+}
+
+CertificationResult Certifier::runExact(
+    DynamicBitset excludePrimitives) const {
+  CertifyOptions options;
+  options.excludePrimitives = std::move(excludePrimitives);
+  options.crossCheck = crossCheckDefault();
+  // Every non-final fixpoint iteration clears at least one selectable
+  // branch, so the total branch count + 1 cannot run out.
+  const auto arity = cv_.flat->muxArity();
+  options.fixpointBudget =
+      std::accumulate(arity.begin(), arity.end(), std::size_t{1});
+  CertificationResult result = run(options);
+  if (const std::size_t unknown = result.summary().unknownCells()) {
+    obs::raiseIfError(Status::internal(
+        "exact certification left " + std::to_string(unknown) +
+        " Unknown cell(s) under an unexhaustible fixpoint budget"));
+  }
   return result;
 }
 

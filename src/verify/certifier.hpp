@@ -38,10 +38,12 @@
 // replays the exact access-mode composition of the batched syndrome
 // oracle (strict / clean-suffix / depth-bounded; see diag/batched.cpp)
 // with an independent plain-BFS sweep and a budgeted control fixpoint —
-// so certifier verdicts are definitionally comparable to
-// campaign::expectedAccessibility, and the cross-check mode replays
-// Vulnerable rows and sampled Proven rows through the oracle engine,
-// treating any divergence as a hard error.
+// so certifier verdicts are definitionally comparable to the batched
+// engine's syndrome rows, and the cross-check mode replays Vulnerable
+// rows and sampled Proven rows through that engine, treating any
+// divergence as a hard error.  The certifier is the only production
+// engine for exact accessibility: fault-dictionary rows and campaign
+// oracle rows are projections of runExact().
 //
 // Determinism: every cell depends only on its fault index; the per-
 // fault fan-out uses the deterministic chunk grid, so results (and all
@@ -125,7 +127,9 @@ struct CertifyOptions {
 };
 
 /// RRSN_CERTIFY_MODE=fast|checked; unset defaults to checked in debug
-/// builds and fast in release builds (the dictionary-verify pattern).
+/// builds and fast in release builds.  The one self-check switch: it
+/// covers certify runs, every fault-dictionary build and every campaign
+/// oracle.
 bool crossCheckDefault();
 
 /// Aggregate counters over one certification.
@@ -214,6 +218,12 @@ class Certifier {
   /// Certifies the (filtered) single-fault universe.  Throws
   /// support::Error on cross-check divergence or malformed options.
   CertificationResult run(const CertifyOptions& options = {}) const;
+
+  /// The exact run the fault dictionary and the campaign oracle read:
+  /// the fixpoint budget is the arena's total selectable branches + 1,
+  /// which the control fixpoint cannot exhaust; crossCheck follows
+  /// crossCheckDefault(); an Unknown cell raises an internal error.
+  CertificationResult runExact(DynamicBitset excludePrimitives = {}) const;
 
   const rsn::FlatNetwork& flat() const { return *cv_.flat; }
 

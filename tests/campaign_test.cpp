@@ -21,9 +21,11 @@
 #include <tuple>
 
 #include "campaign/campaign.hpp"
+#include "benchgen/registry.hpp"
 #include "campaign/checkpoint.hpp"
 #include "diag/diagnosis.hpp"
 #include "harden/fault_tolerant.hpp"
+#include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -101,6 +103,109 @@ TEST(Campaign, SampledCampaignIsDeterministicSubset) {
   const std::string ra = reportString(net, a.run());
   const std::string rb = reportString(net, b.run());
   EXPECT_EQ(ra, rb);
+}
+
+struct OracleWork {
+  std::uint64_t oracleRows = 0;     ///< campaign.oracle_rows
+  std::uint64_t certifiedRows = 0;  ///< rows the certifier decided
+};
+
+/// Runs `engine` and returns the oracle work the run did.
+OracleWork runCountingOracleWork(campaign::CampaignEngine& engine,
+                                 campaign::CampaignResult& out) {
+  const auto read = [](const obs::Snapshot& snap) {
+    OracleWork w;
+    for (const auto& [id, v] : snap.counters) {
+      if (snap.names[id] == "campaign.oracle_rows") w.oracleRows += v;
+      if (snap.names[id] == "verify.rows_fast" ||
+          snap.names[id] == "verify.rows_fixpoint")
+        w.certifiedRows += v;
+    }
+    return w;
+  };
+  obs::enable();
+  const OracleWork before = read(obs::snapshot());
+  out = engine.run();
+  const OracleWork after = read(obs::snapshot());
+  obs::disable();
+  return {after.oracleRows - before.oracleRows,
+          after.certifiedRows - before.certifiedRows};
+}
+
+void expectSameRecord(const campaign::FaultRecord& a,
+                      const campaign::FaultRecord& b) {
+  EXPECT_TRUE(a.scenario == b.scenario);
+  EXPECT_EQ(a.done, b.done);
+  EXPECT_EQ(a.read, b.read);
+  EXPECT_EQ(a.write, b.write);
+  EXPECT_EQ(a.structObservable, b.structObservable);
+  EXPECT_EQ(a.structSettable, b.structSettable);
+  EXPECT_EQ(a.expectObservable, b.expectObservable);
+  EXPECT_EQ(a.expectSettable, b.expectSettable);
+  EXPECT_EQ(a.oracleDisagreements, b.oracleDisagreements);
+}
+
+TEST(Campaign, SampledOraclesCoverOnlyTheReferencedSingles) {
+  // A sampled campaign computes oracle rows for the faults it probes
+  // and nothing else, and those rows classify exactly as in the
+  // exhaustive run.
+  for (const rsn::Network& net :
+       {rsn::makeFig1Network(), benchgen::buildBenchmark("q12710")}) {
+    const campaign::CampaignResult full = runCampaign(net);
+    campaign::CampaignConfig config;
+    config.sample = 6;
+    config.seed = 11;
+    campaign::CampaignEngine engine(net, config);
+    campaign::CampaignResult sampled;
+    const OracleWork work = runCountingOracleWork(engine, sampled);
+    EXPECT_EQ(work.oracleRows, engine.universe().size()) << net.name();
+    // Only the sampled faults' primitives are certified (a sampled stuck
+    // branch brings its mux's other branches along).
+    EXPECT_LT(work.certifiedRows, full.records.size()) << net.name();
+    ASSERT_EQ(sampled.records.size(), 6u) << net.name();
+    for (const campaign::FaultRecord& rec : sampled.records) {
+      const auto& s = rec.scenario;
+      expectSameRecord(rec, full.records[s.aIdx]);
+    }
+  }
+}
+
+TEST(Campaign, SampledPairAndTransientOraclesCoverOnlyTheirSingles) {
+  const rsn::Network net = rsn::makeFig1Network();
+  campaign::CampaignConfig pairs;
+  pairs.mode = campaign::CampaignMode::Pairs;
+  const campaign::CampaignResult fullPairs = runCampaign(net, pairs);
+  pairs.sample = 5;
+  pairs.seed = 3;
+  campaign::CampaignEngine engine(net, pairs);
+  std::vector<std::uint32_t> members;
+  for (const campaign::FaultScenario& s : engine.universe()) {
+    members.push_back(s.aIdx);
+    members.push_back(s.bIdx);
+  }
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  campaign::CampaignResult sampled;
+  EXPECT_EQ(runCountingOracleWork(engine, sampled).oracleRows,
+            members.size());
+  for (const campaign::FaultRecord& rec : sampled.records) {
+    const auto match = std::find_if(
+        fullPairs.records.begin(), fullPairs.records.end(),
+        [&](const campaign::FaultRecord& r) {
+          return r.scenario == rec.scenario;
+        });
+    ASSERT_NE(match, fullPairs.records.end());
+    expectSameRecord(rec, *match);
+  }
+
+  campaign::CampaignConfig transient;
+  transient.mode = campaign::CampaignMode::Transient;
+  campaign::CampaignEngine upsetEngine(net, transient);
+  campaign::CampaignResult upsets;
+  const OracleWork upsetWork = runCountingOracleWork(upsetEngine, upsets);
+  EXPECT_EQ(upsetWork.oracleRows, 0u);
+  EXPECT_EQ(upsetWork.certifiedRows, 0u);
+  EXPECT_TRUE(upsets.summary().complete());
 }
 
 TEST(Campaign, CheckpointResumeMatchesUninterruptedRun) {
@@ -482,18 +587,11 @@ TEST(TransientCampaign, EveryUpsetRecovers) {
   }
 }
 
-TEST(TransientCampaign, ReferenceRowInvariantUnderDictMode) {
-  // Transient classification is judged against the fault-free syndrome;
-  // that reference must be identical whichever dictionary engine
-  // produces it (the --dict-mode probe|batched invariance).
+TEST(TransientCampaign, ReferenceRowMatchesTheSimulator) {
+  // Transient classification is judged against the fault-free row; that
+  // reference must be the simulator's own fault-free syndrome.
   const rsn::Network net = rsn::makeFig1Network();
-  const diag::Syndrome probe =
-      diag::FaultDictionary::build(net, diag::DictMode::Probe)
-          .faultFreeSyndrome();
-  const diag::Syndrome batched =
-      diag::FaultDictionary::build(net, diag::DictMode::Batched)
-          .faultFreeSyndrome();
-  EXPECT_EQ(probe, batched);
+  const diag::Syndrome probe = diag::FaultDictionary::measure(net, nullptr);
 
   campaign::CampaignConfig config;
   config.mode = campaign::CampaignMode::Transient;

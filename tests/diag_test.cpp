@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 #include "diag/diagnosis.hpp"
 #include "harden/fault_tolerant.hpp"
@@ -144,27 +146,26 @@ TEST_P(DiagnosisSweep, CandidatesContainInjectedFault) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DiagnosisSweep,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-// ---- Batched-engine equivalence -------------------------------------
-// The frontier-sweep engine must reproduce the per-probe reference
-// byte-for-byte: same fault order, same fault-free syndrome, same row
-// for every fault (the universe covers every SegmentBreak and every
-// MuxStuck branch, so row equality exercises all fault kinds).
+// ---- Simulator equivalence ------------------------------------------
+// The certifier-projected dictionary must reproduce the simulator
+// byte-for-byte: row k of build(net) equals measure(net, &faults[k]) and
+// the fault-free row equals measure(net, nullptr) (the universe covers
+// every SegmentBreak and every MuxStuck branch, so row equality
+// exercises all fault kinds).
 
-void expectDictionariesEqual(const rsn::Network& net,
-                             const FaultDictionary& probe,
-                             const FaultDictionary& batched) {
-  ASSERT_EQ(probe.faults().size(), batched.faults().size());
-  EXPECT_EQ(probe.faultFreeSyndrome(), batched.faultFreeSyndrome());
-  for (std::size_t k = 0; k < probe.faults().size(); ++k) {
-    ASSERT_TRUE(probe.faults()[k] == batched.faults()[k]);
-    EXPECT_EQ(probe.syndromeOf(k), batched.syndromeOf(k))
-        << fault::describe(net, probe.faults()[k]);
+void expectDictionaryMatchesSimulator(const rsn::Network& net,
+                                      const FaultDictionary& dict) {
+  EXPECT_TRUE(dict.faults() == fault::FaultUniverse(net).faults());
+  EXPECT_EQ(dict.faultFreeSyndrome(), FaultDictionary::measure(net, nullptr));
+  for (std::size_t k = 0; k < dict.faults().size(); ++k) {
+    EXPECT_EQ(dict.syndromeOf(k),
+              FaultDictionary::measure(net, &dict.faults()[k]))
+        << fault::describe(net, dict.faults()[k]);
   }
 }
 
 void expectEnginesAgree(const rsn::Network& net) {
-  expectDictionariesEqual(net, FaultDictionary::build(net, DictMode::Probe),
-                          FaultDictionary::build(net, DictMode::Batched));
+  expectDictionaryMatchesSimulator(net, FaultDictionary::build(net));
 }
 
 TEST(EngineEquivalence, ExampleNetworks) {
@@ -172,13 +173,21 @@ TEST(EngineEquivalence, ExampleNetworks) {
   expectEnginesAgree(rsn::makeTinyNetwork());
 }
 
-TEST(EngineEquivalence, VerifyModeAcceptsEveryRow) {
-  // Verify runs both engines and raises on any differing row, so merely
-  // completing the build proves zero row mismatches on this network.
+TEST(EngineEquivalence, CheckedModeAcceptsEveryRow) {
+  // Checked mode replays the certifier against the batched engine and
+  // raises on any divergence, so completing the build proves zero
+  // diverging rows on this network.
   const rsn::Network net = makeFig1Network();
-  const FaultDictionary dict = FaultDictionary::build(net, DictMode::Verify);
-  EXPECT_EQ(dict.mode(), DictMode::Verify);
-  EXPECT_FALSE(dict.faults().empty());
+  const char* saved = std::getenv("RRSN_CERTIFY_MODE");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("RRSN_CERTIFY_MODE", "checked", 1);
+  const FaultDictionary dict = FaultDictionary::build(net);
+  if (saved != nullptr) {
+    ::setenv("RRSN_CERTIFY_MODE", restore.c_str(), 1);
+  } else {
+    ::unsetenv("RRSN_CERTIFY_MODE");
+  }
+  expectDictionaryMatchesSimulator(net, dict);
 }
 
 class EngineEquivalenceSweep
@@ -212,39 +221,38 @@ TEST(EngineEquivalence, DeterministicAcrossThreadCounts) {
   opt.targetSegments = 30;
   const rsn::Network net = test::randomNetwork(rng, opt);
   const std::size_t restore = threadCount();
-  const FaultDictionary ref = FaultDictionary::build(net, DictMode::Batched);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     setThreadCount(threads);
-    expectDictionariesEqual(net, ref,
-                            FaultDictionary::build(net, DictMode::Batched));
+    expectEnginesAgree(net);
   }
   setThreadCount(restore);
 }
 
-TEST(EngineEquivalence, DiagnosisAndResolutionModeInvariant) {
-  // Downstream consumers (diagnose lookups, resolution statistics) must
-  // not be able to tell which engine built the dictionary.
+TEST(EngineEquivalence, DiagnosisAndResolutionMatchTheSimulator) {
+  // Downstream consumers (diagnose lookups, resolution statistics) see
+  // the simulator's syndromes: diagnosing a measured syndrome names the
+  // same candidates as diagnosing the dictionary row, and the
+  // resolution counts the simulator's detectable faults.
   Rng rng(99);
   test::RandomNetOptions opt;
   opt.targetSegments = 16;
   const rsn::Network net = test::randomNetwork(rng, opt);
-  const FaultDictionary probe = FaultDictionary::build(net, DictMode::Probe);
-  const FaultDictionary batched =
-      FaultDictionary::build(net, DictMode::Batched);
-  const auto rp = probe.resolution();
-  const auto rb = batched.resolution();
-  EXPECT_EQ(rp.faults, rb.faults);
-  EXPECT_EQ(rp.detectable, rb.detectable);
-  EXPECT_EQ(rp.classes, rb.classes);
-  EXPECT_EQ(rp.avgAmbiguity, rb.avgAmbiguity);
-  for (std::size_t k = 0; k < probe.faults().size(); ++k) {
-    const Diagnosis dp = probe.diagnose(probe.syndromeOf(k));
-    const Diagnosis db = batched.diagnose(batched.syndromeOf(k));
-    EXPECT_EQ(dp.faultFree, db.faultFree);
-    ASSERT_EQ(dp.exactMatches.size(), db.exactMatches.size());
-    for (std::size_t i = 0; i < dp.exactMatches.size(); ++i)
-      EXPECT_TRUE(dp.exactMatches[i] == db.exactMatches[i]);
+  const FaultDictionary dict = FaultDictionary::build(net);
+  const Syndrome clean = FaultDictionary::measure(net, nullptr);
+  std::size_t detectable = 0;
+  for (std::size_t k = 0; k < dict.faults().size(); ++k) {
+    const Syndrome measured = FaultDictionary::measure(net, &dict.faults()[k]);
+    if (!(measured == clean)) ++detectable;
+    const Diagnosis dm = dict.diagnose(measured);
+    const Diagnosis dd = dict.diagnose(dict.syndromeOf(k));
+    EXPECT_EQ(dm.faultFree, dd.faultFree);
+    ASSERT_EQ(dm.exactMatches.size(), dd.exactMatches.size());
+    for (std::size_t i = 0; i < dm.exactMatches.size(); ++i)
+      EXPECT_TRUE(dm.exactMatches[i] == dd.exactMatches[i]);
   }
+  const auto r = dict.resolution();
+  EXPECT_EQ(r.faults, dict.faults().size());
+  EXPECT_EQ(r.detectable, detectable);
 }
 
 // -------------------------------------------------- pair diagnosis
@@ -327,9 +335,9 @@ TEST(PairDiagnosis, FaultFreeSyndromeShortCircuits) {
   EXPECT_EQ(d.exactPairCount, 0u);
 }
 
-TEST(PairDiagnosis, VerifyModeCrossChecksCandidatesOnTheSimulator) {
+TEST(PairDiagnosis, CandidatesAreCrossCheckedOnTheSimulator) {
   const rsn::Network net = makeFig1Network();
-  const FaultDictionary dict = FaultDictionary::build(net, DictMode::Verify);
+  const FaultDictionary dict = FaultDictionary::build(net);
   // Two breaks on distinct instrument segments compose without
   // interaction: their pair must come back simulation-verified.
   const Fault a = Fault::segmentBreak(net.findSegment("seg_i2"));
@@ -339,10 +347,6 @@ TEST(PairDiagnosis, VerifyModeCrossChecksCandidatesOnTheSimulator) {
   ASSERT_FALSE(d.faultFree);
   ASSERT_FALSE(d.exactPairs.empty());
   EXPECT_TRUE(d.verifiedBySimulation);
-  // The non-verify build path never claims simulation backing.
-  const FaultDictionary batched =
-      FaultDictionary::build(net, DictMode::Batched);
-  EXPECT_FALSE(batched.diagnosePair(observed).verifiedBySimulation);
 }
 
 }  // namespace

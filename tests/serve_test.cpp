@@ -396,45 +396,15 @@ TEST(Server, CampaignDeadlineExpiresAsTypedError) {
   EXPECT_EQ(resp.at("error").at("code").asString(), "DEADLINE_EXCEEDED");
 }
 
-TEST(Server, WhatifValidatesBeforeStubbing) {
+TEST(Server, WhatifIsUnimplemented) {
+  // No what-if engine exists, so the method is unknown like any other.
   Server server;
   StreamClient client(server);
-
-  // Missing params are INVALID_ARGUMENT, not a stub acknowledgement.
-  const json::Value noNetlist = client.call("whatif", json::Object{});
-  ASSERT_FALSE(noNetlist.at("ok").asBool());
-  EXPECT_EQ(noNetlist.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object noChange = netlistParams(fig1Text());
-  const json::Value resp2 = client.call("whatif", std::move(noChange));
-  ASSERT_FALSE(resp2.at("ok").asBool());
-  EXPECT_EQ(resp2.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object badNetlist = netlistParams("segment s1 length=banana");
-  badNetlist["change"] = json::Value("break:s1");
-  const json::Value resp3 = client.call("whatif", std::move(badNetlist));
-  ASSERT_FALSE(resp3.at("ok").asBool());
-  EXPECT_EQ(resp3.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object badChange = netlistParams(fig1Text());
-  badChange["change"] = json::Value("explode:everything");
-  const json::Value resp4 = client.call("whatif", std::move(badChange));
-  ASSERT_FALSE(resp4.at("ok").asBool());
-  EXPECT_EQ(resp4.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  json::Object unknownSeg = netlistParams(fig1Text());
-  unknownSeg["change"] = json::Value("break:no_such_segment");
-  const json::Value resp5 = client.call("whatif", std::move(unknownSeg));
-  ASSERT_FALSE(resp5.at("ok").asBool());
-  EXPECT_EQ(resp5.at("error").at("code").asString(), "INVALID_ARGUMENT");
-
-  // A well-formed request still gets the honest stub.
-  json::Object good = netlistParams(fig1Text());
-  good["change"] = json::Value("break:c0");
-  const json::Value ok = client.call("whatif", std::move(good));
-  ASSERT_TRUE(ok.at("ok").asBool()) << json::serialize(ok);
-  EXPECT_TRUE(ok.at("result").at("stub").asBool());
-  EXPECT_EQ(ok.at("result").at("change").asString(), "break:c0");
+  json::Object params = netlistParams(fig1Text());
+  params["change"] = json::Value("break:c0");
+  const json::Value resp = client.call("whatif", std::move(params));
+  ASSERT_FALSE(resp.at("ok").asBool());
+  EXPECT_EQ(resp.at("error").at("code").asString(), "UNIMPLEMENTED");
 }
 
 TEST(Server, CertifyEndpointIsCachedAndByteIdentical) {
