@@ -3,10 +3,12 @@
 // The certifier answers which instruments survive which single faults by
 // dataflow proof instead of exhaustive syndrome simulation, and the
 // fault dictionary is a projection of its exact run.  This bench
-// measures the paper networks and an MBIST-class design: wall-clock of
-// a full-universe certification and of a full dictionary build (the
-// certifier's exact run plus the projection into syndrome rows), how
-// much of the universe the O(1) fast tier absorbs, and the verdict mix.  A
+// measures the paper networks and the MBIST width ladder up to 12 k
+// segments: wall-clock of a full-universe certification and of a full
+// dictionary build (the certifier's exact run plus the projection into
+// syndrome rows), how much of the universe the O(1) fast tier absorbs,
+// the lane tier's deterministic work (rows, 64-lane batches and
+// topological passes), and the verdict mix.  A
 // row-parity gate replays certifier verdicts through the batched
 // syndrome oracle (full universe on small nets, strided on large ones)
 // and fails the bench on any divergence, so the numbers below are only
@@ -31,6 +33,7 @@ namespace {
 struct DesignRow {
   std::string name;
   rrsn::verify::CertifySummary summary;
+  std::size_t laneBatches = 0, lanePasses = 0;
   double certifyMs = 0;
   double dictMs = 0;
   std::size_t parityChecked = 0;
@@ -79,13 +82,13 @@ int main() {
   const std::uint64_t parityCap = bench::envOrU64("RRSN_PARITY_CAP", 2000);
 
   TextTable table({"Design", "faults", "instr", "certify", "dict build",
-                   "fast rows", "P/V read", "parity"});
+                   "fast rows", "lane passes", "P/V read", "parity"});
   table.setAlign(0, TextTable::Align::Left);
 
   std::vector<DesignRow> rows;
   for (const char* name :
        {"fig1", "TreeFlat", "TreeUnbalanced", "q12710", "MBIST_1_5_5",
-        "MBIST_1_5_20"}) {
+        "MBIST_1_5_20", "MBIST_2_5_20", "MBIST_1_20_20", "MBIST_2_20_20"}) {
     const rsn::Network net = std::string(name) == "fig1"
                                  ? rsn::makeFig1Network()
                                  : benchgen::buildBenchmark(name);
@@ -100,6 +103,8 @@ int main() {
     const verify::CertificationResult result = certifier.run(options);
     row.certifyMs = certifyWatch.millis();
     row.summary = result.summary();
+    row.laneBatches = result.laneBatchCount;
+    row.lanePasses = result.lanePassCount;
 
     Stopwatch dictWatch;
     const diag::FaultDictionary dict = diag::FaultDictionary::build(net);
@@ -141,6 +146,7 @@ int main() {
         {row.name, std::to_string(row.summary.faults),
          std::to_string(row.summary.instruments), certifyBuf, dictBuf,
          std::to_string(row.summary.fastRows),
+         std::to_string(row.lanePasses),
          std::to_string(row.summary.provenRead) + "/" +
              std::to_string(row.summary.vulnerableRead),
          std::to_string(row.parityChecked) + " rows"});
@@ -152,7 +158,9 @@ int main() {
             << table
             << "\n(certify = full single-fault universe, both directions; "
                "'fast rows' is the share decided by the O(1) dominator/"
-               "stuck-mask tier without running the fixpoint; the parity "
+               "stuck-mask tier without running the fixpoint; 'lane "
+               "passes' counts the lane tier's 64-fault topological "
+               "passes; the parity "
                "column counts rows replayed through the syndrome oracle — "
                "a divergence fails this bench, so printed numbers always "
                "agree with simulation.  Unknown cells: "
@@ -178,6 +186,8 @@ int main() {
           .kv("fast_rows", static_cast<std::uint64_t>(row.summary.fastRows))
           .kv("fixpoint_rows",
               static_cast<std::uint64_t>(row.summary.fixpointRows))
+          .kv("lane_batches", static_cast<std::uint64_t>(row.laneBatches))
+          .kv("lane_passes", static_cast<std::uint64_t>(row.lanePasses))
           .kv("proven_read", row.summary.provenRead)
           .kv("vulnerable_read", row.summary.vulnerableRead)
           .kv("proven_write", row.summary.provenWrite)

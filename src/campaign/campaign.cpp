@@ -826,15 +826,20 @@ CampaignResult CampaignEngine::run() {
     const std::size_t end = std::min(at + batchSize, pending.size());
     {
       RRSN_OBS_SPAN("campaign.batch");
-      parallelForCancellable(end - at, cancel, [&](std::size_t j) {
-        if (hasDeadline && config_.cancel != nullptr &&
-            config_.cancel->cancelled()) {
-          deadlineToken.cancel();
-          return;
-        }
-        const std::size_t k = pending[at + j];
-        result.records[k] = probeScenario(oracles, universe_[k], probes);
-      });
+      // Each scenario is a whole simulator run, so even a handful of
+      // them is worth fanning out: grain 1, as in Certifier::run.
+      parallelForCancellable(
+          end - at, cancel,
+          [&](std::size_t j) {
+            if (hasDeadline && config_.cancel != nullptr &&
+                config_.cancel->cancelled()) {
+              deadlineToken.cancel();
+              return;
+            }
+            const std::size_t k = pending[at + j];
+            result.records[k] = probeScenario(oracles, universe_[k], probes);
+          },
+          /*grain=*/1);
     }
     // Under cancellation some records of the batch may not have run;
     // count what actually finished and persist exactly that.

@@ -34,20 +34,26 @@
 // any accessible instrument cannot change the control fixpoint or cut
 // any access — the row equals the fault-free row.  Likewise a mux
 // stuck on a branch that leaves every guard decision of that mux
-// unchanged under the fault-free selectable sets.  The *slow tier*
+// unchanged under the fault-free selectable sets.  The *lane tier*
 // replays the exact access-mode composition of the batched syndrome
 // oracle (strict / clean-suffix / depth-bounded; see diag/batched.cpp)
-// with an independent plain-BFS sweep and a budgeted control fixpoint —
-// so certifier verdicts are definitionally comparable to the batched
-// engine's syndrome rows, and the cross-check mode replays Vulnerable
-// rows and sampled Proven rows through that engine, treating any
-// divergence as a hard error.  The certifier is the only production
-// engine for exact accessibility: fault-dictionary rows and campaign
-// oracle rows are projections of runExact().
+// for 64 fault rows at once: lane k of a per-vertex uint64_t column
+// stands for fault k, every reach is one pull pass over the data DAG in
+// (reverse) topological order, and the budgeted control fixpoint runs
+// on transposed selectable sets (one lane mask per (mux, branch)).
+// That traversal is independent of the oracle's direction-optimizing
+// BFS, so certifier verdicts are definitionally comparable to the
+// batched engine's syndrome rows, and the cross-check mode replays
+// Vulnerable rows and sampled Proven rows through that engine,
+// treating any divergence as a hard error.  The certifier is the only
+// production engine for exact accessibility: fault-dictionary rows and
+// campaign oracle rows are projections of runExact().
 //
-// Determinism: every cell depends only on its fault index; the per-
-// fault fan-out uses the deterministic chunk grid, so results (and all
-// serialized reports) are byte-identical at any RRSN_THREADS.
+// Determinism: every cell depends only on its fault (a lane never reads
+// another lane's bits); the fan-out runs over fixed 64-row windows of
+// the universe on the deterministic chunk grid, so results, work
+// counters and all serialized reports are byte-identical at any
+// RRSN_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +118,9 @@ struct CertifyOptions {
   /// in [0, S), muxes in [S, S + M)) are excluded — a hardened
   /// primitive cannot fail.  Empty = the full single-fault universe.
   DynamicBitset excludePrimitives;
-  /// Iteration budget of each per-fault control fixpoint.  Exhaustion
-  /// yields Unknown(Budget) for the whole row — counted, never hidden.
+  /// Iteration budget of each per-fault control fixpoint (counted per
+  /// lane).  Exhaustion yields Unknown(Budget) for exactly that row —
+  /// counted, never hidden.
   /// The fixpoint shrinks a finite set monotonically, so any budget
   /// >= the control-nesting depth terminates with a proof; the default
   /// is far above every realistic nesting.
@@ -141,7 +148,7 @@ struct CertifySummary {
   std::size_t vulnerableRead = 0, vulnerableWrite = 0;
   std::size_t unknownRead = 0, unknownWrite = 0;
   std::size_t fastRows = 0;      ///< rows decided by the fast tier
-  std::size_t fixpointRows = 0;  ///< rows that ran the slow tier
+  std::size_t fixpointRows = 0;  ///< rows decided by the lane tier
   std::size_t controlCollapseCells = 0;  ///< property (3) violations
   std::size_t crossCheckedRows = 0;
 
@@ -189,10 +196,14 @@ class CertificationResult {
   /// Per-instrument hosting segment (witness subjects for Unreachable).
   std::vector<std::uint32_t> instrumentSegment;
   /// Tier accounting, filled by Certifier::run (not derivable from the
-  /// cells): rows decided by the fast tier, rows that ran the slow
-  /// tier, and rows replayed through the syndrome oracle.
+  /// cells): rows decided by the fast tier, rows decided by the lane
+  /// tier, 64-lane batches and topological passes the lane tier ran,
+  /// and rows replayed through the syndrome oracle.  All are functions
+  /// of the universe alone, never of the thread count.
   std::size_t fastRowCount = 0;
   std::size_t fixpointRowCount = 0;
+  std::size_t laneBatchCount = 0;
+  std::size_t lanePassCount = 0;
   std::size_t crossCheckedRowCount = 0;
 
   std::uint16_t cell(std::size_t faultIdx, std::size_t inst) const {
@@ -205,11 +216,12 @@ class CertificationResult {
 };
 
 /// The certifier.  Construction runs the fault-free base analysis
-/// (final selectable sets, strict reaches, topological order of the
-/// open subgraph, immediate dominators and post-dominators with DFS
-/// interval numbering, the control-critical vertex set, and per-
-/// (mux, branch) stuck-safety masks); run() fans the per-fault tiers
-/// out over the thread pool.
+/// (topological order and the position-indexed lane CSR, final
+/// selectable sets and strict reaches as a one-lane batch, immediate
+/// dominators and post-dominators with DFS interval numbering, the
+/// control-critical vertex set, and per-(mux, branch) stuck-safety
+/// masks); run() fans 64-row batches of the universe out over the
+/// thread pool.
 class Certifier {
  public:
   explicit Certifier(const rsn::Network& net);
@@ -228,30 +240,42 @@ class Certifier {
   const rsn::FlatNetwork& flat() const { return *cv_.flat; }
 
  private:
-  struct Scratch;
+  /// Fault rows decided per lane-tier batch: one bit of a uint64_t each.
+  static constexpr std::size_t kLanes = 64;
+
+  /// Per-worker lane column, transposed selectable sets and the batch
+  /// being decided.
+  struct LaneScratch;
 
   void buildBase();
 
-  void sweep(bool forward, const std::uint64_t* sel, bool tolerate,
-             graph::VertexId brokenV, graph::VertexId source,
-             bool avoidCtrlRegs, DynamicBitset& visited,
-             std::vector<graph::VertexId>& queue) const;
+  /// One pull pass over the data DAG in topological order (Forward) or
+  /// reverse topological order, overwriting s.col (one lane word per
+  /// position).
+  /// Mirrors a BFS from each lane's source(s): lanes in `rootSeed` start
+  /// at scan-in (Forward) / scan-out, lanes in `breakSeed` at their own
+  /// broken vertex; a source is always reached, and blocking — the
+  /// lane's broken vertex for lanes in `breakBlock`, every control
+  /// register when `avoidCtrlRegs` — applies to every other vertex.
+  template <bool Forward>
+  void lanePass(LaneScratch& s, std::uint64_t rootSeed,
+                std::uint64_t breakSeed, std::uint64_t breakBlock,
+                bool avoidCtrlRegs) const;
 
-  /// Budgeted control fixpoint; leaves `inStrict` = strict forward
-  /// reach under the final sets.  Returns false when `budget`
-  /// iterations did not reach the fixpoint.
-  bool controlFixpoint(const fault::Fault* f, graph::VertexId brokenV,
-                       std::uint64_t* sel, DynamicBitset& inStrict,
-                       Scratch& s, std::size_t budget) const;
+  /// Budgeted control fixpoint for `lanes`, each counting its own
+  /// iterations; leaves s.col = strict forward reach under the final
+  /// sets.  Returns the lanes whose budget ran out.
+  std::uint64_t laneFixpoint(LaneScratch& s, std::uint64_t lanes,
+                             std::size_t budget) const;
 
-  /// Slow tier: the oracle's exact access-mode composition.  Fills
-  /// s.obs / s.set and the per-instrument first-proving mode bytes;
-  /// returns false on budget exhaustion (row is Unknown).
-  bool analyzeRow(const fault::Fault& f, Scratch& s,
-                  std::size_t budget) const;
+  /// Lane tier: decides every row of the batch loaded in `s` into
+  /// result.cells / result.collapsedMux.  Returns the lanes that ran
+  /// out of budget (their rows are Unknown).
+  std::uint64_t decideBatch(LaneScratch& s, std::size_t budget,
+                            CertificationResult& result) const;
 
   /// Fast tier: decides the whole row from the base analysis when
-  /// sound; returns false when the row needs the slow tier.
+  /// sound; returns false when the row needs the lane tier.
   bool tryFastRow(const fault::Fault& f, std::uint16_t* rowCells) const;
 
   bool domAncestor(graph::VertexId a, graph::VertexId v) const;
@@ -268,6 +292,30 @@ class Certifier {
   std::vector<std::uint32_t> domTin_, domTout_, pdomTin_, pdomTout_;
   DynamicBitset ctrlCritical_;        ///< dominates a reachable ctrl reg
   std::vector<std::uint64_t> stuckSafe_;  ///< sel-layout (mux, branch) mask
+
+  // ------------------------------------- lane kernel (position-indexed)
+  /// Data-graph edge between topological positions, open in the lanes
+  /// of guard word `guard` (0 = unguarded, open in every lane).
+  struct LaneEdge {
+    std::uint32_t other, guard;
+  };
+  std::vector<graph::VertexId> order_;  ///< position -> vertex
+  std::vector<std::uint32_t> inOffsets_, outOffsets_;
+  std::vector<LaneEdge> inEdges_, outEdges_;
+  /// Transposed selectable sets: mux m owns lane words
+  /// [branchBase_[m], branchBase_[m] + muxArity[m]), one per branch.
+  std::vector<std::uint32_t> branchBase_;
+  std::size_t selLaneWords_ = 0;
+  /// Edge guards, one per guarded edge of either CSR: guard g >= 1 is
+  /// open in the OR of the lane words
+  /// guardBranches_[guardOffsets_[g - 1], guardOffsets_[g]).
+  std::vector<std::uint32_t> guardOffsets_, guardBranches_;
+  std::vector<std::uint8_t> ctrlRegAt_;  ///< per position
+  /// Per position: kChainFwd when its only in-edge is unguarded from the
+  /// previous position, kChainBwd when its only out-edge is unguarded to
+  /// the next one.
+  static constexpr std::uint8_t kChainFwd = 1, kChainBwd = 2;
+  std::vector<std::uint8_t> chain_;
 };
 
 // ------------------------------------------------------------ reports

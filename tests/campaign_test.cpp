@@ -93,6 +93,21 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST(Campaign, SmallSampledCampaignDeterministicAcrossThreadCounts) {
+  // Eight scenarios is below twice the default grain, so this only
+  // leaves the serial path because the batch loop fans out at grain 1.
+  const rsn::Network net = benchgen::buildBenchmark("MBIST_1_5_5");
+  campaign::CampaignConfig config;
+  config.sample = 8;
+  config.seed = 3;
+  setThreadCount(1);
+  const std::string serial = reportString(net, runCampaign(net, config));
+  setThreadCount(4);
+  const std::string parallel = reportString(net, runCampaign(net, config));
+  setThreadCount(0);  // restore the environment-configured pool
+  EXPECT_EQ(serial, parallel);
+}
+
 TEST(Campaign, SampledCampaignIsDeterministicSubset) {
   const rsn::Network net = rsn::makeFig1Network();
   campaign::CampaignConfig config;

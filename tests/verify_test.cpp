@@ -2,17 +2,23 @@
 // accessibility oracle on the paper networks, witness sanity, hardened
 // exclusion of fault sites, Unknown accounting under an exhausted
 // fixpoint budget, thread-count byte-determinism of the canonical JSON
-// report, and the SARIF export shape.
+// report and the work counters, the SARIF export shape, and the lane
+// tier's batch boundaries: rows of partial and multi-batch universes
+// match the syndrome oracle and never depend on their batch-mates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchgen/registry.hpp"
 #include "campaign/campaign.hpp"
 #include "diag/batched.hpp"
 #include "fault/fault.hpp"
+#include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
@@ -225,6 +231,163 @@ TEST(Certifier, CrossCheckModeReplaysThroughTheOracle) {
   const CertificationResult result = Certifier(net).run(options);
   EXPECT_EQ(result.crossCheckedRowCount, result.universe.size())
       << "sampleEvery=1 must replay the whole universe";
+}
+
+/// Exclusion mask that keeps a fault universe of exactly `faults` rows:
+/// primitives are taken in an rng-shuffled order while they fit (a mux
+/// brings all its stuck branches), so breaks and stucks interleave in
+/// the canonical order and batch-mates differ from the full run's.
+DynamicBitset universeOfSize(const rsn::Network& net,
+                             const rsn::FlatNetwork& flat, std::size_t faults,
+                             std::uint64_t seed) {
+  std::vector<std::uint32_t> order(net.primitiveCount());
+  for (std::uint32_t p = 0; p < order.size(); ++p) order[p] = p;
+  Rng rng(seed);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1],
+              order[static_cast<std::size_t>(
+                  rng.range(0, static_cast<std::int64_t>(i) - 1))]);
+  const std::size_t segments = net.segments().size();
+  DynamicBitset exclude(net.primitiveCount());
+  exclude.setAll();
+  std::size_t kept = 0;
+  for (const std::uint32_t p : order) {
+    const std::size_t rows = p < segments ? 1 : flat.muxArity()[p - segments];
+    if (kept + rows > faults) continue;
+    exclude.reset(p);
+    kept += rows;
+  }
+  EXPECT_EQ(kept, faults) << net.name() << ": universe cannot be cut";
+  return exclude;
+}
+
+/// Row `fi` of `result` as comparable text: the packed cells plus the
+/// collapsed-mux witness subject.
+std::string rowKey(const CertificationResult& result, std::size_t fi) {
+  std::string key = std::to_string(result.collapsedMux[fi]) + ":";
+  for (std::size_t i = 0; i < result.instruments; ++i)
+    key += std::to_string(result.cell(fi, i)) + ",";
+  return key;
+}
+
+using FaultKey = std::tuple<fault::FaultKind, std::uint32_t, std::uint32_t>;
+
+FaultKey keyOf(const fault::Fault& f) {
+  return {f.kind, f.prim, f.stuckBranch};
+}
+
+std::map<FaultKey, std::string> rowsByFault(const CertificationResult& result) {
+  std::map<FaultKey, std::string> rows;
+  for (std::size_t fi = 0; fi < result.universe.size(); ++fi)
+    rows.emplace(keyOf(result.universe[fi]), rowKey(result, fi));
+  return rows;
+}
+
+TEST(Certifier, PartialAndMultiBatchUniversesAreRowIsolated) {
+  std::vector<rsn::Network> nets;
+  nets.push_back(benchgen::buildBenchmark("MBIST_1_5_20"));
+  for (const std::uint64_t seed : {5u, 6u}) {
+    Rng rng(seed);
+    test::RandomNetOptions opt;
+    opt.targetSegments = 200;
+    nets.push_back(test::randomNetwork(rng, opt));
+  }
+  for (const rsn::Network& net : nets) {
+    const Certifier certifier(net);
+    CertifyOptions options;
+    options.crossCheck = false;
+    const std::map<FaultKey, std::string> full =
+        rowsByFault(certifier.run(options));
+    for (const std::size_t faults : {1u, 63u, 64u, 65u, 129u}) {
+      CertifyOptions cut;
+      cut.excludePrimitives = universeOfSize(net, certifier.flat(), faults, faults);
+      // Every row replayed through the batched syndrome engine; a
+      // divergence throws.
+      cut.crossCheck = true;
+      cut.crossCheckSampleEvery = 1;
+      const CertificationResult result = certifier.run(cut);
+      ASSERT_EQ(result.universe.size(), faults) << net.name();
+      EXPECT_EQ(result.crossCheckedRowCount, faults) << net.name();
+      EXPECT_EQ(result.fastRowCount + result.fixpointRowCount, faults);
+      for (std::size_t fi = 0; fi < faults; ++fi)
+        EXPECT_EQ(rowKey(result, fi), full.at(keyOf(result.universe[fi])))
+            << net.name() << " universe " << faults << ": "
+            << fault::describe(net, result.universe[fi]);
+    }
+  }
+}
+
+TEST(Certifier, BudgetExhaustionIsPerLane) {
+  // Budget 1 decides the rows whose first sweep already is the fixpoint
+  // and gives up on the rest — both kinds share batches here.  Each row
+  // must equal the same fault certified in a universe of its own
+  // primitive (a mux brings its other stuck branches).
+  for (const char* name : {"MBIST_1_5_5", "TreeUnbalanced"}) {
+    const rsn::Network net = benchgen::buildBenchmark(name);
+    const Certifier certifier(net);
+    CertifyOptions options;
+    options.fixpointBudget = 1;
+    options.crossCheck = false;
+    const CertificationResult batched = certifier.run(options);
+    const CertifySummary s = batched.summary();
+    EXPECT_GT(s.unknownRead, 0u) << name;
+    EXPECT_LT(s.unknownRead, s.fixpointRows * s.instruments) << name;
+
+    const std::size_t segments = net.segments().size();
+    for (std::size_t fi = 0; fi < batched.universe.size(); ++fi) {
+      const fault::Fault& f = batched.universe[fi];
+      CertifyOptions alone = options;
+      alone.excludePrimitives = DynamicBitset(net.primitiveCount());
+      alone.excludePrimitives.setAll();
+      alone.excludePrimitives.reset(
+          f.kind == fault::FaultKind::SegmentBreak ? f.prim
+                                                   : segments + f.prim);
+      const CertificationResult solo = certifier.run(alone);
+      const auto at = std::find(solo.universe.begin(), solo.universe.end(), f);
+      ASSERT_NE(at, solo.universe.end());
+      EXPECT_EQ(rowKey(batched, fi),
+                rowKey(solo, static_cast<std::size_t>(
+                                 at - solo.universe.begin())))
+          << name << ": " << fault::describe(net, f);
+    }
+  }
+}
+
+TEST(Certifier, WorkCountersIdenticalAcrossThreadCounts) {
+  const rsn::Network net = benchgen::buildBenchmark("MBIST_1_5_20");
+  const Certifier certifier(net);
+  const std::vector<std::string> names = {
+      "verify.rows_fixpoint", "verify.lane_batches", "verify.lane_passes"};
+  const auto read = [&]() {
+    const obs::Snapshot snap = obs::snapshot();
+    std::vector<std::uint64_t> values(names.size(), 0);
+    for (const auto& [id, v] : snap.counters)
+      for (std::size_t k = 0; k < names.size(); ++k)
+        if (snap.names[id] == names[k]) values[k] += v;
+    return values;
+  };
+  const std::size_t saved = threadCount();
+  std::vector<std::vector<std::uint64_t>> deltas;
+  obs::enable();
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    setThreadCount(threads);
+    const std::vector<std::uint64_t> before = read();
+    const CertificationResult result = certifier.run();
+    const std::vector<std::uint64_t> after = read();
+    std::vector<std::uint64_t> delta(names.size());
+    for (std::size_t k = 0; k < names.size(); ++k)
+      delta[k] = after[k] - before[k];
+    EXPECT_EQ(delta[0], result.fixpointRowCount);
+    EXPECT_EQ(delta[1], result.laneBatchCount);
+    EXPECT_EQ(delta[2], result.lanePassCount);
+    deltas.push_back(std::move(delta));
+  }
+  obs::disable();
+  setThreadCount(saved);
+  ASSERT_EQ(deltas.size(), 3u);
+  EXPECT_GT(deltas[0][1], 1u) << "the universe must span several batches";
+  EXPECT_EQ(deltas[0], deltas[1]);
+  EXPECT_EQ(deltas[0], deltas[2]);
 }
 
 }  // namespace
