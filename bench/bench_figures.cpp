@@ -10,7 +10,7 @@
 
 #include "fault/effects.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "sp/decomposition.hpp"
 

@@ -21,7 +21,6 @@
 #include "harden/hardening.hpp"
 #include "moo/spea2.hpp"
 #include "rsn/flat.hpp"
-#include "rsn/graph_view.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -43,14 +42,6 @@ const rsn::CriticalitySpec& specOf(const std::string& name) {
     Rng rng(7);
     it = cache.emplace(name, rsn::randomSpec(netOf(name), {}, rng)).first;
   }
-  return it->second;
-}
-
-const rsn::GraphView& gvOf(const std::string& name) {
-  static std::map<std::string, rsn::GraphView> cache;
-  auto it = cache.find(name);
-  if (it == cache.end())
-    it = cache.emplace(name, rsn::buildGraphView(netOf(name))).first;
   return it->second;
 }
 
@@ -99,11 +90,11 @@ void BM_CriticalityAnalysis(benchmark::State& state,
 void BM_GraphOracleSingleFault(benchmark::State& state,
                                const std::string& name) {
   const rsn::Network& net = netOf(name);
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const rsn::FlatNetwork& flat = flatOf(name);
   const fault::Fault f = fault::Fault::segmentBreak(
       static_cast<rsn::SegmentId>(net.segments().size() / 2));
   for (auto _ : state) {
-    const auto loss = fault::lossUnderFaultGraph(net, gv, f);
+    const auto loss = fault::lossUnderFaultGraph(flat, f);
     benchmark::DoNotOptimize(loss.unobservable.count());
   }
 }
@@ -138,24 +129,10 @@ void BM_DictRowProbe(benchmark::State& state, const std::string& name) {
                           static_cast<std::int64_t>(net.instruments().size()));
 }
 
-// Flat-vs-pointer iteration kernels: the same traversal against the
-// pointer model (Network / Digraph adjacency vectors / GraphView) and
-// against the FlatNetwork arena (contiguous id-indexed spans + CSR).
-// Their ratios quantify what the SoA lowering buys the hot consumers.
+// Arena iteration kernels: the streaming patterns the hot consumers use
+// over the FlatNetwork (contiguous id-indexed spans + CSR).
 
-/// Sums every segment length through the pointer model.
-void BM_SegmentScanPointer(benchmark::State& state, const std::string& name) {
-  const rsn::Network& net = netOf(name);
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (const rsn::Segment& seg : net.segments()) sum += seg.length;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(net.segments().size()));
-}
-
-/// The same sum over the flat segLength span.
+/// Sums every segment length over the flat segLength span.
 void BM_SegmentScanFlat(benchmark::State& state, const std::string& name) {
   const rsn::FlatNetwork& flat = flatOf(name);
   const auto lengths = flat.segLength();
@@ -168,26 +145,7 @@ void BM_SegmentScanFlat(benchmark::State& state, const std::string& name) {
                           static_cast<std::int64_t>(lengths.size()));
 }
 
-/// Walks every vertex's successor list in the Digraph (per-vertex
-/// heap-allocated adjacency vectors).
-void BM_NeighborWalkPointer(benchmark::State& state, const std::string& name) {
-  const rsn::GraphView& gv = gvOf(name);
-  std::int64_t edges = 0;
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    edges = 0;
-    for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v)
-      for (const graph::VertexId w : gv.graph.successors(v)) {
-        sum += w;
-        edges += 1;
-      }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          edges);
-}
-
-/// The same walk over the flat forward CSR (one contiguous edge array).
+/// Walks every vertex's forward CSR row (one contiguous edge array).
 void BM_NeighborWalkFlat(benchmark::State& state, const std::string& name) {
   const rsn::FlatNetwork& flat = flatOf(name);
   const auto offsets = flat.fwdOffsets();
@@ -204,24 +162,7 @@ void BM_NeighborWalkFlat(benchmark::State& state, const std::string& name) {
 }
 
 /// Gathers every mux's control tuple (control segment + branch count)
-/// through the pointer model: Mux records plus the GraphView's
-/// per-mux branch-exit vectors.
-void BM_ControlGatherPointer(benchmark::State& state,
-                             const std::string& name) {
-  const rsn::Network& net = netOf(name);
-  const rsn::GraphView& gv = gvOf(name);
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (rsn::MuxId m = 0; m < net.muxes().size(); ++m)
-      sum += net.muxes()[m].controlSegment + gv.muxBranchExit[m].size();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(net.muxes().size()));
-}
-
-/// The same gather over the flat control tuples (muxControl span +
-/// branch CSR offsets).
+/// over the flat muxControl span and branch CSR offsets.
 void BM_ControlGatherFlat(benchmark::State& state, const std::string& name) {
   const rsn::FlatNetwork& flat = flatOf(name);
   const auto control = flat.muxControl();
@@ -459,16 +400,10 @@ int main(int argc, char** argv) {
     registerNamed("DictRowProbe/" + std::string(name), BM_DictRowProbe, name);
   }
   for (const char* name : {"q12710", "MBIST_2_20_20"}) {
-    registerNamed("SegmentScan/pointer/" + std::string(name),
-                  BM_SegmentScanPointer, name);
     registerNamed("SegmentScan/flat/" + std::string(name), BM_SegmentScanFlat,
                   name);
-    registerNamed("NeighborWalk/pointer/" + std::string(name),
-                  BM_NeighborWalkPointer, name);
     registerNamed("NeighborWalk/flat/" + std::string(name),
                   BM_NeighborWalkFlat, name);
-    registerNamed("ControlGather/pointer/" + std::string(name),
-                  BM_ControlGatherPointer, name);
     registerNamed("ControlGather/flat/" + std::string(name),
                   BM_ControlGatherFlat, name);
   }

@@ -20,6 +20,7 @@ int main() {
 
   const rsn::Network original = benchgen::buildBenchmark("TreeUnbalanced");
   const rsn::Network robust = benchgen::buildBenchmark("TreeUnbalanced");
+  const auto originalFlat = rsn::FlatNetwork::lower(original);
   std::cout << "network TreeUnbalanced: " << original.segments().size()
             << " segments, " << original.muxes().size() << " muxes, "
             << original.instruments().size() << " instruments\n\n";
@@ -38,12 +39,12 @@ int main() {
     // Record a read access on the initial network.
     sim::ScanSimulator recordSim(original);
     recordSim.setInstrumentValue(i, sim::accessMarker(segLen));
-    sim::Retargeter recorder(recordSim);
+    sim::Retargeter recorder(recordSim, originalFlat);
     const auto read = recorder.readInstrument(i);
 
     // Record a write access (fresh simulator: patterns start from reset).
     sim::ScanSimulator writeSim(original);
-    sim::Retargeter writer(writeSim);
+    sim::Retargeter writer(writeSim, originalFlat);
     const auto write = writer.writeInstrument(i, sim::accessMarker(segLen));
 
     if (!read.success || !write.success) {

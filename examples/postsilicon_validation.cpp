@@ -48,7 +48,6 @@ int main() {
             << sols.minCost->obj.cost << " of " << problem.maxCost << "\n\n";
 
   // Fault-by-fault data-extraction coverage (observability).
-  const rsn::GraphView gv = rsn::buildGraphView(net);
   const fault::FaultUniverse universe(net);
   sp::DecompositionTree tree = sp::DecompositionTree::build(net);
   tree.annotate(spec);

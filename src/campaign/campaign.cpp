@@ -14,7 +14,6 @@
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
 #include "rsn/flat.hpp"
-#include "rsn/graph_view.hpp"
 #include "sp/decomposition.hpp"
 #include "support/rng.hpp"
 #include "verify/certifier.hpp"
@@ -653,7 +652,7 @@ FaultRecord CampaignEngine::probeScenario(
   rec.read.assign(n, 'L');
   rec.write.assign(n, 'L');
   sim::ScanSimulator sim(*net_);
-  sim::Retargeter engine(sim, config_.retarget);
+  sim::Retargeter engine(sim, flat_, config_.retarget);
   for (std::size_t i = 0; i < n; ++i) {
     const auto inst = static_cast<rsn::InstrumentId>(i);
     rec.read[i] = toChar(probeAccess(sim, engine, s, inst, /*isRead=*/true));
@@ -665,7 +664,7 @@ FaultRecord CampaignEngine::probeScenario(
     // across probes would show up here, not as an oracle "interaction".
     if (s.kind == CampaignMode::Pairs) {
       sim::ScanSimulator ref(*net_);
-      sim::Retargeter refEngine(ref, config_.retarget);
+      sim::Retargeter refEngine(ref, flat_, config_.retarget);
       const char refRead =
           toChar(probeAccess(ref, refEngine, s, inst, /*isRead=*/true));
       const char refWrite =
@@ -685,7 +684,7 @@ FaultRecord CampaignEngine::probeScenario(
 
 CampaignResult CampaignEngine::run() {
   RRSN_OBS_SPAN("campaign.run");
-  if (config_.lint) lint::enforceClean(*net_, "campaign");
+  if (config_.lint) lint::enforceClean(*net_, *flat_, "campaign");
   CampaignResult result;
   result.mode = config_.mode;
   result.instruments = net_->instruments().size();
@@ -764,13 +763,12 @@ CampaignResult CampaignEngine::run() {
         if (cert.write(fi, i) == verify::Verdict::Proven) e.settable.set(i);
       }
     }
-    const rsn::GraphView gv = rsn::buildGraphView(*net_);
     const sp::DecompositionTree tree = sp::DecompositionTree::build(*net_);
     parallelFor(rows.size(), [&](std::size_t r) {
       const std::size_t k = rows[r];
       const fault::Fault& f = singles_[k];
       const fault::AccessibilityLoss graphLoss =
-          fault::lossUnderFaultGraph(*net_, gv, f);
+          fault::lossUnderFaultGraph(*flat_, f);
       const fault::AccessibilityLoss treeLoss =
           fault::lossUnderFaultTree(tree, f);
       const auto invert = [n](const DynamicBitset& lost) {

@@ -6,7 +6,7 @@
 #include "fault/fault.hpp"
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "support/parallel.hpp"
 
 namespace rrsn::crit {
@@ -221,17 +221,17 @@ CriticalityResult CriticalityAnalyzer::run() const {
 CriticalityResult bruteForceAnalysis(const rsn::Network& net,
                                      const rsn::CriticalitySpec& spec,
                                      AnalysisOptions options) {
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const FaultUniverse universe(net);
   std::vector<std::uint64_t> d(net.primitiveCount(), 0);
   // The oracle is embarrassingly parallel per primitive: each iteration
-  // only reads the shared network/graph view and owns slot d[linear].
+  // only reads the shared network/arena and owns slot d[linear].
   parallelFor(net.primitiveCount(), [&](std::size_t linear) {
     const rsn::PrimitiveRef ref = net.refOf(linear);
     std::vector<std::uint64_t> perFault;
     for (const Fault& f : universe.faultsAt(ref)) {
       perFault.push_back(
-          fault::damageOfLoss(spec, fault::lossUnderFaultGraph(net, gv, f)));
+          fault::damageOfLoss(spec, fault::lossUnderFaultGraph(*flat, f)));
     }
     // -fanalyzer suppression: a Segment ref always yields exactly one
     // fault (its break), so perFault is non-empty here, and .at(0)

@@ -13,49 +13,20 @@ namespace rrsn::diag {
 
 Syndrome FaultDictionary::measure(const rsn::Network& net,
                                   const fault::Fault* f) {
-  const std::size_t n = net.instruments().size();
-  Syndrome syn;
-  syn.passed = DynamicBitset(2 * n);
-  for (rsn::InstrumentId i = 0; i < n; ++i) {
-    const auto len = net.segment(net.instrument(i).segment).length;
-    {
-      sim::ScanSimulator simulator(net);
-      if (f != nullptr) simulator.injectFault(*f);
-      sim::Retargeter rt(simulator);
-      if (rt.readInstrument(i).success) syn.passed.set(2 * i);
-    }
-    {
-      sim::ScanSimulator simulator(net);
-      if (f != nullptr) simulator.injectFault(*f);
-      sim::Retargeter rt(simulator);
-      if (rt.writeInstrument(i, sim::accessMarker(len)).success)
-        syn.passed.set(2 * i + 1);
-    }
-  }
-  return syn;
+  return measureMulti(net, f != nullptr ? std::vector<fault::Fault>{*f}
+                                        : std::vector<fault::Fault>{});
 }
 
 Syndrome FaultDictionary::measureMulti(const rsn::Network& net,
                                        const std::vector<fault::Fault>& faults) {
+  const sim::AccessReport report =
+      sim::probeAccessSet(net, rsn::FlatNetwork::lower(net), faults);
   const std::size_t n = net.instruments().size();
   Syndrome syn;
   syn.passed = DynamicBitset(2 * n);
-  for (rsn::InstrumentId i = 0; i < n; ++i) {
-    const auto len = net.segment(net.instrument(i).segment).length;
-    {
-      sim::ScanSimulator simulator(net);
-      simulator.injectFaults(faults);
-      sim::Retargeter rt(simulator);
-      if (rt.readInstrument(i).success) syn.passed.set(2 * i);
-    }
-    {
-      sim::ScanSimulator simulator(net);
-      simulator.injectFaults(faults);
-      sim::Retargeter rt(simulator);
-      if (rt.writeInstrument(i, sim::accessMarker(len)).success)
-        syn.passed.set(2 * i + 1);
-    }
-  }
+  report.observable.forEachSet([&](std::size_t i) { syn.passed.set(2 * i); });
+  report.settable.forEachSet(
+      [&](std::size_t i) { syn.passed.set(2 * i + 1); });
   return syn;
 }
 

@@ -74,8 +74,9 @@ class FaultDictionary {
   const Syndrome& syndromeOf(std::size_t faultIndex) const;
 
   /// Measures the syndrome of a (possibly fault-injected) network by
-  /// running the standard access set on a fresh simulator (the
-  /// per-probe reference path, independent of the certifier).
+  /// running the standard access set on the simulator
+  /// (sim::probeAccessSet, the per-probe reference path, independent of
+  /// the certifier) and projecting it into syndrome bits.
   static Syndrome measure(const rsn::Network& net, const fault::Fault* f);
 
   /// Same, with any number of simultaneous permanent faults injected —

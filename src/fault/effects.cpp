@@ -85,28 +85,28 @@ AccessibilityLoss lossUnderFaultTree(const DecompositionTree& tree,
 
 namespace {
 
-/// BFS over the graph view honoring the fault: a broken segment vertex is
-/// impassable; a stuck mux only accepts its selected branch's exit.
-/// `forward` false walks predecessor edges (for settability).
-std::vector<bool> faultAwareReach(const rsn::Network& net,
-                                  const rsn::GraphView& gv,
+/// BFS over the arena's scan graph honoring the fault: a broken segment
+/// vertex is impassable; a stuck mux only accepts its selected branch's
+/// exit.  `forward` false walks the transposed rows (for settability).
+std::vector<bool> faultAwareReach(const rsn::FlatNetwork& flat,
                                   const Fault& f, graph::VertexId start,
                                   bool forward, bool ignoreBreak) {
-  const graph::Digraph& g = gv.graph;
-  std::vector<bool> seen(g.vertexCount(), false);
+  std::vector<bool> seen(flat.vertexCount(), false);
 
   graph::VertexId broken = graph::kNoVertex;
   graph::VertexId stuckMux = graph::kNoVertex;
   graph::VertexId allowedExit = graph::kNoVertex;
   if (f.kind == FaultKind::SegmentBreak) {
-    if (!ignoreBreak) broken = gv.segmentVertex[f.prim];
+    RRSN_CHECK(f.prim < flat.segmentCount(), "segment id out of range");
+    if (!ignoreBreak) broken = flat.segmentVertex()[f.prim];
   } else {
-    stuckMux = gv.muxVertex[f.prim];
-    RRSN_CHECK(f.stuckBranch < gv.muxBranchExit[f.prim].size(),
+    RRSN_CHECK(f.prim < flat.muxCount(), "mux id out of range");
+    RRSN_CHECK(f.stuckBranch < flat.muxArity()[f.prim],
                "stuck branch out of range");
-    allowedExit = gv.muxBranchExit[f.prim][f.stuckBranch];
+    stuckMux = flat.muxVertex()[f.prim];
+    allowedExit =
+        flat.muxBranchExit()[flat.muxBranchOffsets()[f.prim] + f.stuckBranch];
   }
-  (void)net;
 
   const auto edgeAllowed = [&](graph::VertexId from, graph::VertexId to) {
     if (from == broken || to == broken) return false;
@@ -115,14 +115,16 @@ std::vector<bool> faultAwareReach(const rsn::Network& net,
   };
 
   if (start == broken) return seen;  // the defect vertex itself is dead
+  const auto offsets = forward ? flat.fwdOffsets() : flat.bwdOffsets();
+  const auto edges = forward ? flat.fwdEdges() : flat.bwdEdges();
   std::queue<graph::VertexId> work;
   seen[start] = true;
   work.push(start);
   while (!work.empty()) {
     const graph::VertexId v = work.front();
     work.pop();
-    const auto& next = forward ? g.successors(v) : g.predecessors(v);
-    for (graph::VertexId n : next) {
+    for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const graph::VertexId n = edges[e].other;
       const graph::VertexId from = forward ? v : n;
       const graph::VertexId to = forward ? n : v;
       if (!edgeAllowed(from, to)) continue;
@@ -137,12 +139,12 @@ std::vector<bool> faultAwareReach(const rsn::Network& net,
 
 }  // namespace
 
-AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
-                                      const rsn::GraphView& gv,
+AccessibilityLoss lossUnderFaultGraph(const rsn::FlatNetwork& flat,
                                       const Fault& f) {
+  const std::size_t n = flat.instrumentCount();
   AccessibilityLoss loss;
-  loss.unobservable = DynamicBitset(net.instruments().size());
-  loss.unsettable = DynamicBitset(net.instruments().size());
+  loss.unobservable = DynamicBitset(n);
+  loss.unsettable = DynamicBitset(n);
 
   // A primitive is accessible only while it lies on a complete sensitized
   // scan path (Sec. IV-B2), so each direction combines two reachabilities:
@@ -154,23 +156,22 @@ AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
   // Stuck-mux constraints apply to every leg; only the break may be
   // ignored on the "other" leg.
   const auto reachesOutClean =
-      faultAwareReach(net, gv, f, gv.scanOut, /*forward=*/false,
+      faultAwareReach(flat, f, flat.scanOut(), /*forward=*/false,
                       /*ignoreBreak=*/false);
   const auto reachedInClean =
-      faultAwareReach(net, gv, f, gv.scanIn, /*forward=*/true,
+      faultAwareReach(flat, f, flat.scanIn(), /*forward=*/true,
                       /*ignoreBreak=*/false);
   const auto reachesOutAny =
-      faultAwareReach(net, gv, f, gv.scanOut, /*forward=*/false,
+      faultAwareReach(flat, f, flat.scanOut(), /*forward=*/false,
                       /*ignoreBreak=*/true);
   const auto reachedInAny =
-      faultAwareReach(net, gv, f, gv.scanIn, /*forward=*/true,
+      faultAwareReach(flat, f, flat.scanIn(), /*forward=*/true,
                       /*ignoreBreak=*/true);
 
-  for (InstrumentId i = 0; i < net.instruments().size(); ++i) {
-    const graph::VertexId segV =
-        gv.segmentVertex[net.instrument(i).segment];
+  for (InstrumentId i = 0; i < n; ++i) {
+    const graph::VertexId segV = flat.instrumentVertex()[i];
     const bool brokenSelf = f.kind == FaultKind::SegmentBreak &&
-                            gv.segmentVertex[f.prim] == segV;
+                            flat.segmentVertex()[f.prim] == segV;
     if (brokenSelf || !(reachedInAny[segV] && reachesOutClean[segV]))
       loss.unobservable.set(i);
     if (brokenSelf || !(reachedInClean[segV] && reachesOutAny[segV]))

@@ -8,7 +8,8 @@
 //    it splits the branch into an unobservable upstream part and an
 //    unsettable downstream part; a stuck mux disconnects all non-selected
 //    branches entirely.
-//  * lossUnderFaultGraph — a brute-force oracle on the flat graph view:
+//  * lossUnderFaultGraph — a brute-force oracle on the flat arena's scan
+//    graph (plain BFS over its CSR, no guards or control fixpoint):
 //    instrument i stays observable iff a path from its segment to the
 //    scan-out avoids the defect, and settable iff a path from the scan-in
 //    to its segment does.
@@ -16,7 +17,7 @@
 #pragma once
 
 #include "fault/fault.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "support/bitset.hpp"
 
@@ -32,9 +33,8 @@ struct AccessibilityLoss {
 AccessibilityLoss lossUnderFaultTree(const sp::DecompositionTree& tree,
                                      const Fault& f);
 
-/// Flat-graph oracle.  `gv` must be buildGraphView(net) for the same net.
-AccessibilityLoss lossUnderFaultGraph(const rsn::Network& net,
-                                      const rsn::GraphView& gv,
+/// Flat-graph oracle over the arena lowered from the faulted network.
+AccessibilityLoss lossUnderFaultGraph(const rsn::FlatNetwork& flat,
                                       const Fault& f);
 
 /// Weighted damage of one fault under a specification (Eq. 1 restricted

@@ -27,20 +27,6 @@ void Digraph::setLabel(VertexId v, std::string label) {
   labels_[v] = std::move(label);
 }
 
-Csr buildCsr(const Digraph& g, bool reverse) {
-  const std::size_t n = g.vertexCount();
-  Csr csr;
-  csr.offsets.resize(n + 1, 0);
-  csr.targets.reserve(g.edgeCount());
-  for (VertexId v = 0; v < n; ++v) {
-    csr.offsets[v] = static_cast<std::uint32_t>(csr.targets.size());
-    const auto& row = reverse ? g.predecessors(v) : g.successors(v);
-    csr.targets.insert(csr.targets.end(), row.begin(), row.end());
-  }
-  csr.offsets[n] = static_cast<std::uint32_t>(csr.targets.size());
-  return csr;
-}
-
 std::vector<VertexId> topologicalOrder(const Digraph& g) {
   std::vector<std::size_t> pending(g.vertexCount());
   std::vector<VertexId> order;

@@ -1,9 +1,11 @@
 // A small generic directed-graph container.
 //
-// The RSN itself has a richer typed model (src/rsn); this module provides
-// the plain graph view of Sec. III ("An RSN is modeled as a directed graph
-// G := (V, E)") plus the algorithms the modeling section relies on:
-// topological order, reachability, dominators and reconvergence analysis.
+// Sec. III models an RSN as a directed graph G := (V, E); an RSN's own
+// scan graph lives in the flat arena (src/rsn/flat.hpp).  This module is
+// the general-graph side: a plain adjacency-list container for arbitrary
+// two-terminal DAGs (SP virtualization in src/sp) plus the algorithms
+// the modeling section relies on: topological order, reachability,
+// dominators and reconvergence analysis.
 #pragma once
 
 #include <cstdint>
@@ -58,29 +60,6 @@ class Digraph {
   std::vector<std::vector<VertexId>> in_;
   std::size_t edgeCount_ = 0;
 };
-
-/// Compressed-sparse-row snapshot of a Digraph's adjacency: the
-/// neighbours of v are targets[offsets[v] .. offsets[v+1]).  A flat
-/// layout the traversal kernels can walk without pointer chasing, and
-/// whose rows align with any parallel per-edge annotation arrays
-/// (parallel edges are preserved, in insertion order per vertex).
-struct Csr {
-  std::vector<std::uint32_t> offsets;  ///< vertexCount + 1 entries
-  std::vector<VertexId> targets;
-
-  std::size_t vertexCount() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  std::size_t edgeCount() const { return targets.size(); }
-
-  std::uint32_t rowBegin(VertexId v) const { return offsets[v]; }
-  std::uint32_t rowEnd(VertexId v) const { return offsets[v + 1]; }
-  std::size_t degree(VertexId v) const { return rowEnd(v) - rowBegin(v); }
-};
-
-/// Lowers the adjacency lists into CSR form.  `reverse` emits the
-/// transposed graph (row v lists the predecessors of v).
-Csr buildCsr(const Digraph& g, bool reverse = false);
 
 /// Vertices in a topological order.  Throws ValidationError if the graph
 /// has a cycle (a structural scan path must be acyclic).

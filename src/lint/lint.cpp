@@ -301,9 +301,14 @@ json::Value jsonReport(const LintResult& result, const std::string& artifact) {
 // ------------------------------------------------------------- fail-fast
 
 void enforceClean(const rsn::Network& net, const std::string& context) {
+  enforceClean(net, *rsn::FlatNetwork::lower(net), context);
+}
+
+void enforceClean(const rsn::Network& net, const rsn::FlatNetwork& flat,
+                  const std::string& context) {
   LintOptions options;
   options.errorsOnly = true;
-  LintResult result = runLint(net, options);
+  LintResult result = runLint(net, flat, options);
   if (result.clean()) return;
   std::ostringstream os;
   os << context << ": network '" << net.name()

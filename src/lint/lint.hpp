@@ -1,7 +1,7 @@
 // rrsn_lint: static verification of RSN models.
 //
-// A multi-pass checker over the typed Network model and its flat
-// GraphView, running a fixed registry of rules:
+// A multi-pass checker over the typed Network model and its flat arena
+// (rsn::FlatNetwork), running a fixed registry of rules:
 //
 //   * structural  — scan-path/control problems: control deadlock cycles,
 //     control registers too narrow for their mux, segments that no
@@ -23,8 +23,8 @@
 // The checker is single-threaded and allocation-light by design: its
 // findings are a pure function of the model, byte-identical across runs
 // and thread counts, and `enforceClean` (the fail-fast hook at the head
-// of the analysis/campaign/EA entry points) costs O(V + E) per control
-// nesting level — microseconds on hand-written netlists.
+// of the analysis/campaign/EA entry points) costs one lowering plus
+// linear passes over the arena — microseconds on hand-written netlists.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
@@ -108,6 +109,10 @@ struct LintResult {
 /// Runs every applicable rule against a validated network.
 LintResult runLint(const rsn::Network& net, const LintOptions& options = {});
 
+/// Same, over an arena the caller already lowered from `net`.
+LintResult runLint(const rsn::Network& net, const rsn::FlatNetwork& flat,
+                   const LintOptions& options = {});
+
 /// Result of linting netlist text end to end (parse + validate + rules).
 struct LintedNetlist {
   std::optional<rsn::Network> net;  ///< empty when the input was rejected
@@ -170,5 +175,9 @@ class LintError : public Error {
 /// rules and throws LintError (message lists every error finding,
 /// prefixed by `context`) unless the network lints clean.
 void enforceClean(const rsn::Network& net, const std::string& context);
+
+/// Same, over an arena the caller already lowered from `net`.
+void enforceClean(const rsn::Network& net, const rsn::FlatNetwork& flat,
+                  const std::string& context);
 
 }  // namespace rrsn::lint

@@ -1,5 +1,5 @@
 // The model-level passes of rrsn_lint: every rule that inspects a
-// validated Network, its flat GraphView, or its decomposition tree.
+// validated Network, its flat arena, or its decomposition tree.
 //
 // All passes are single-threaded and deterministic: they iterate the
 // dense primitive/structure ids in ascending order, so two runs over the
@@ -15,7 +15,7 @@
 
 #include "lint/lint.hpp"
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
 #include "sp/sp_reduce.hpp"
 
@@ -34,8 +34,9 @@ std::string toLower(const std::string& s) {
 /// Shared state of one lint run over a validated network.
 class Runner {
  public:
-  Runner(const rsn::Network& net, const LintOptions& opts, LintResult& out)
-      : net_(net), opts_(opts), out_(out), gv_(rsn::buildGraphView(net)) {}
+  Runner(const rsn::Network& net, const rsn::FlatNetwork& flat,
+         const LintOptions& opts, LintResult& out)
+      : net_(net), flat_(flat), opts_(opts), out_(out) {}
 
   void run() {
     // Error-severity passes (also the fail-fast configuration).
@@ -84,7 +85,7 @@ class Runner {
     for (rsn::MuxId m = 0; m < net_.muxes().size(); ++m) {
       const rsn::Mux& mux = net_.mux(m);
       if (mux.controlSegment == rsn::kNone) continue;
-      const std::size_t arity = gv_.muxBranchExit[m].size();
+      const std::size_t arity = flat_.muxArity()[m];
       const std::uint32_t len = net_.segment(mux.controlSegment).length;
       if (len >= 32 || arity <= (std::size_t{1} << len)) continue;
       emit("struct.ctrl-width", mux.name,
@@ -202,89 +203,37 @@ class Runner {
 
   // ---- struct.unreachable ----------------------------------------------
   //
-  // Growing control-steerability fixpoint from the reset configuration.
-  // A branch is *steerable* once it is addressable and its control
-  // register is settable (reset branches and TAP-steered muxes start
-  // steerable); a segment is *settable* once it is forward-reachable
-  // from scan-in and backward-reachable to scan-out over edges whose mux
-  // entries are gated on steerable branches.  The fixpoint grows
-  // monotonically, one control-nesting level per round; segments still
-  // unreachable at the fixpoint are provably never on an active path.
+  // Growing control-steerability fixpoint from the reset configuration,
+  // over the arena's guard sets.  Every mux can pass its reset branch, so
+  // a segment lies on some active path iff each (mux, branch != 0) guard
+  // on its way to the scan ports is steerable: the branch is addressable
+  // and the mux's control register is itself reachable (TAP-steered muxes
+  // carry no guards).  Reachability only grows, so sweeping until a sweep
+  // adds nothing yields the least fixpoint; segments still unreachable
+  // are provably never on an active path.
   void checkReachability() {
-    const std::size_t M = net_.muxes().size();
-    const std::size_t V = gv_.graph.vertexCount();
-
-    std::vector<rsn::MuxId> muxOf(V, rsn::kNone);
-    for (rsn::MuxId m = 0; m < M; ++m) muxOf[gv_.muxVertex[m]] = m;
-
-    std::vector<std::vector<char>> steer(M);
-    for (rsn::MuxId m = 0; m < M; ++m) {
-      const rsn::SegmentId ctrl = net_.mux(m).controlSegment;
-      const std::size_t arity = gv_.muxBranchExit[m].size();
-      steer[m].assign(arity, 0);
-      for (std::size_t b = 0; b < arity; ++b)
-        steer[m][b] =
-            static_cast<char>(addressable(m, b) &&
-                              (b == 0 || ctrl == rsn::kNone) ? 1 : 0);
+    const std::size_t segments = flat_.segmentCount();
+    const auto offsets = flat_.guardOffsets();
+    const auto guards = flat_.guardPool();
+    std::vector<char> reached(segments, 0);
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (std::size_t s = 0; s < segments; ++s) {
+        if (reached[s] != 0) continue;
+        bool open = true;
+        for (std::uint32_t g = offsets[s]; open && g < offsets[s + 1]; ++g) {
+          const rsn::FlatNetwork::GuardRef& guard = guards[g];
+          open = addressable(guard.mux, guard.branch) &&
+                 reached[flat_.muxControl()[guard.mux]] != 0;
+        }
+        if (!open) continue;
+        reached[s] = 1;
+        grew = true;
+      }
     }
 
-    // Edge u -> v is usable iff v is not a mux entry, or u exits some
-    // currently steerable branch of that mux.
-    const auto edgeAllowed = [&](graph::VertexId u, graph::VertexId v) {
-      const rsn::MuxId m = muxOf[v];
-      if (m == rsn::kNone) return true;
-      const auto& exits = gv_.muxBranchExit[m];
-      for (std::size_t b = 0; b < exits.size(); ++b)
-        if (exits[b] == u && steer[m][b] != 0) return true;
-      return false;
-    };
-
-    std::vector<char> fwd(V, 0);
-    std::vector<char> bwd(V, 0);
-    const auto sweep = [&](graph::VertexId start, bool forward,
-                           std::vector<char>& seen) {
-      std::fill(seen.begin(), seen.end(), 0);
-      std::vector<graph::VertexId> stack{start};
-      seen[start] = 1;
-      while (!stack.empty()) {
-        const graph::VertexId u = stack.back();
-        stack.pop_back();
-        const auto& next =
-            forward ? gv_.graph.successors(u) : gv_.graph.predecessors(u);
-        for (const graph::VertexId v : next) {
-          if (seen[v] != 0) continue;
-          if (!(forward ? edgeAllowed(u, v) : edgeAllowed(v, u))) continue;
-          seen[v] = 1;
-          stack.push_back(v);
-        }
-      }
-    };
-
-    // Each productive round unlocks at least one mux, so M + 1 rounds
-    // always reach the fixpoint (the final round observes no change and
-    // leaves fwd/bwd consistent with the terminal steerable set).
-    for (std::size_t round = 0; round <= M + 1; ++round) {
-      sweep(gv_.scanIn, true, fwd);
-      sweep(gv_.scanOut, false, bwd);
-      bool changed = false;
-      for (rsn::MuxId m = 0; m < M; ++m) {
-        const rsn::SegmentId ctrl = net_.mux(m).controlSegment;
-        if (ctrl == rsn::kNone) continue;
-        const graph::VertexId cv = gv_.segmentVertex[ctrl];
-        if (fwd[cv] == 0 || bwd[cv] == 0) continue;
-        for (std::size_t b = 0; b < steer[m].size(); ++b) {
-          if (steer[m][b] == 0 && addressable(m, b)) {
-            steer[m][b] = 1;
-            changed = true;
-          }
-        }
-      }
-      if (!changed) break;
-    }
-
-    for (rsn::SegmentId s = 0; s < net_.segments().size(); ++s) {
-      const graph::VertexId sv = gv_.segmentVertex[s];
-      if (fwd[sv] != 0 && bwd[sv] != 0) continue;
+    for (rsn::SegmentId s = 0; s < segments; ++s) {
+      if (reached[s] != 0) continue;
       emit("struct.unreachable", net_.segment(s).name,
            "segment '" + net_.segment(s).name +
                "' is never on an active scan path: no configuration "
@@ -407,9 +356,8 @@ class Runner {
 
   // ---- ready.non-sp ----------------------------------------------------
   void checkSeriesParallelReadiness() {
-    if (gv_.graph.vertexCount() > opts_.spCheckVertexCap) return;
-    const sp::SpCheck check =
-        sp::checkSeriesParallel(gv_.graph, gv_.scanIn, gv_.scanOut);
+    if (flat_.vertexCount() > opts_.spCheckVertexCap) return;
+    const sp::SpCheck check = sp::checkSeriesParallel(flat_);
     if (check.isSeriesParallel) return;
     emit("ready.non-sp", {},
          "flat scan graph is not two-terminal series-parallel (" +
@@ -514,17 +462,22 @@ class Runner {
   }
 
   const rsn::Network& net_;
+  const rsn::FlatNetwork& flat_;
   const LintOptions& opts_;
   LintResult& out_;
-  rsn::GraphView gv_;
 };
 
 }  // namespace
 
 LintResult runLint(const rsn::Network& net, const LintOptions& options) {
+  return runLint(net, *rsn::FlatNetwork::lower(net), options);
+}
+
+LintResult runLint(const rsn::Network& net, const rsn::FlatNetwork& flat,
+                   const LintOptions& options) {
   RRSN_OBS_SPAN("lint.run");
   LintResult result;
-  Runner(net, options, result).run();
+  Runner(net, flat, options, result).run();
   result.sort();
   static const obs::MetricId kFindings = obs::counter("lint.findings");
   static const obs::MetricId kErrors = obs::counter("lint.errors");

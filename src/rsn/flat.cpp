@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 
@@ -150,21 +150,94 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   obs::count(kFlattenCalls);
   RRSN_OBS_SPAN("flat.lower");
 
-  const GraphView gv = buildGraphView(net);
-  const graph::Digraph& g = gv.graph;
-  const std::size_t vertices = g.vertexCount();
   const std::size_t segCount = net.segments().size();
   const std::size_t muxCount = net.muxes().size();
   const std::size_t instCount = net.instruments().size();
+
+  // ------------------------------------------------- one structure walk
+  // Vertex numbering (Sec. III, Fig. 2): SI = 0, segment s = 1 + s, then
+  // one (mux, entry fan-out) pair per mux, SO last.  The walk emits the
+  // data edges in wiring order and records every segment's guard set.
+  const auto segVertex = [](std::size_t s) {
+    return static_cast<graph::VertexId>(1 + s);
+  };
+  const auto muxVertexOf = [segCount](std::size_t m) {
+    return static_cast<graph::VertexId>(1 + segCount + 2 * m);
+  };
+  const graph::VertexId scanIn = 0;
+  const graph::VertexId scanOut = muxVertexOf(muxCount);
+  const std::size_t vertices = std::size_t{scanOut} + 1;
+
+  using GuardSet = std::vector<GuardRef>;
+  std::vector<GuardSet> guardsOf(segCount);
+  std::vector<std::pair<graph::VertexId, graph::VertexId>> dataEdges;
+  GuardSet cur;
+  // Wires the node entered from `in`; returns its exit vertex.
+  const auto walk = [&](auto&& self, NodeId id,
+                        graph::VertexId in) -> graph::VertexId {
+    const auto& n = net.structure().node(id);
+    switch (n.kind) {
+      case NodeKind::Wire:
+        return in;
+      case NodeKind::Segment:
+        guardsOf[n.prim] = cur;
+        dataEdges.emplace_back(in, segVertex(n.prim));
+        return segVertex(n.prim);
+      case NodeKind::Serial:
+        for (const NodeId c : n.children) in = self(self, c, in);
+        return in;
+      case NodeKind::MuxJoin: {
+        const graph::VertexId mx = muxVertexOf(n.prim);
+        const graph::VertexId fanout = mx + 1;
+        const bool segCtrl = net.mux(n.prim).controlSegment != kNone;
+        dataEdges.emplace_back(in, fanout);
+        for (std::size_t b = 0; b < n.children.size(); ++b) {
+          const bool guarded = segCtrl && b != 0;
+          if (guarded)
+            cur.push_back({n.prim, static_cast<std::uint32_t>(b)});
+          dataEdges.emplace_back(self(self, n.children[b], fanout), mx);
+          if (guarded) cur.pop_back();
+        }
+        return mx;
+      }
+    }
+    throw Error("unreachable structure node kind");
+  };
+  dataEdges.emplace_back(walk(walk, net.structure().root(), scanIn), scanOut);
+
+  // Forward and transposed rows, each a stable bucketing of the edge
+  // list: a vertex's neighbours keep wiring order.
+  std::vector<std::uint32_t> fwdOffsets(vertices + 1, 0);
+  std::vector<std::uint32_t> bwdOffsets(vertices + 1, 0);
+  for (const auto& [from, to] : dataEdges) {
+    ++fwdOffsets[from + 1];
+    ++bwdOffsets[to + 1];
+  }
+  for (std::size_t v = 0; v < vertices; ++v) {
+    fwdOffsets[v + 1] += fwdOffsets[v];
+    bwdOffsets[v + 1] += bwdOffsets[v];
+  }
+  std::vector<Edge> fwdEdges(dataEdges.size());
+  std::vector<Edge> bwdEdges(dataEdges.size());
+  {
+    std::vector<std::uint32_t> fwdAt(fwdOffsets.begin(), fwdOffsets.end() - 1);
+    std::vector<std::uint32_t> bwdAt(bwdOffsets.begin(), bwdOffsets.end() - 1);
+    for (const auto& [from, to] : dataEdges) {
+      fwdEdges[fwdAt[from]++].other = to;
+      bwdEdges[bwdAt[to]++].other = from;
+    }
+  }
 
   // ------------------------------------------------- per-segment arrays
   std::vector<std::uint32_t> segLength(segCount, 0);
   std::vector<std::uint32_t> segInstrument(segCount, kNone);
   std::vector<std::uint8_t> segFlags(segCount, 0);
+  std::vector<graph::VertexId> segmentVertex(segCount);
   for (std::size_t s = 0; s < segCount; ++s) {
     const Segment& seg = net.segments()[s];
     segLength[s] = seg.length;
     segInstrument[s] = seg.instrument;
+    segmentVertex[s] = segVertex(s);
     if (seg.isSibRegister) segFlags[s] |= kSegFlagSib;
   }
 
@@ -174,7 +247,7 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   std::vector<std::uint64_t> instSet(instCount, 0);
   for (std::size_t i = 0; i < instCount; ++i) {
     instSegment[i] = net.instruments()[i].segment;
-    instVertex[i] = gv.segmentVertex[instSegment[i]];
+    instVertex[i] = segVertex(instSegment[i]);
     if (spec != nullptr) {
       const DamageWeights& w = spec->of(static_cast<InstrumentId>(i));
       instObs[i] = w.obs;
@@ -183,33 +256,42 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   }
 
   // ---------------------------------------------- per-mux control data
+  // Only branch exits enter a mux vertex, in branch order, so a mux's
+  // transposed row is its branch-exit list.
+  std::vector<graph::VertexId> muxVertex(muxCount);
   std::vector<std::uint32_t> muxOfVertex(vertices, kNone);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    muxOfVertex[gv.muxVertex[m]] = static_cast<std::uint32_t>(m);
+  std::vector<std::uint32_t> muxBranchOffsets(muxCount + 1, 0);
+  std::vector<graph::VertexId> muxBranchExit;
+  muxBranchExit.reserve(dataEdges.size());
+  for (std::size_t m = 0; m < muxCount; ++m) {
+    const graph::VertexId mx = muxVertexOf(m);
+    muxVertex[m] = mx;
+    muxOfVertex[mx] = static_cast<std::uint32_t>(m);
+    for (std::uint32_t e = bwdOffsets[mx]; e < bwdOffsets[mx + 1]; ++e)
+      muxBranchExit.push_back(bwdEdges[e].other);
+    muxBranchOffsets[m + 1] = static_cast<std::uint32_t>(muxBranchExit.size());
+  }
 
   std::vector<std::uint32_t> muxControl(muxCount, kNone);
   std::vector<graph::VertexId> muxCtrlVertex(muxCount, graph::kNoVertex);
   std::vector<std::uint32_t> muxArity(muxCount, 0);
   std::vector<std::uint32_t> selOffset(muxCount, 0);
   std::vector<std::uint32_t> ctrlMuxes;
+  std::vector<std::uint8_t> ctrlRegVertex(vertices, 0);
   std::size_t selWords = 0;
   for (std::size_t m = 0; m < muxCount; ++m) {
-    const auto arity = static_cast<std::uint32_t>(gv.muxBranchExit[m].size());
+    const std::uint32_t arity = muxBranchOffsets[m + 1] - muxBranchOffsets[m];
     muxArity[m] = arity;
     selOffset[m] = static_cast<std::uint32_t>(selWords);
     selWords += (static_cast<std::size_t>(arity) + 63) / 64;
     const SegmentId ctrl = net.muxes()[m].controlSegment;
     muxControl[m] = ctrl;
     if (ctrl == kNone) continue;
-    muxCtrlVertex[m] = gv.segmentVertex[ctrl];
+    muxCtrlVertex[m] = segVertex(ctrl);
+    ctrlRegVertex[segVertex(ctrl)] = 1;
     ctrlMuxes.push_back(static_cast<std::uint32_t>(m));
     segFlags[ctrl] |= kSegFlagControlsMux;
   }
-
-  std::vector<std::uint8_t> ctrlRegVertex(vertices, 0);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    if (muxControl[m] != kNone)
-      ctrlRegVertex[gv.segmentVertex[muxControl[m]]] = 1;
 
   std::vector<std::uint64_t> representableWords(selWords, 0);
   for (std::size_t m = 0; m < muxCount; ++m) {
@@ -242,80 +324,27 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
       ctrlEdges[cursor[muxControl[m]]++] = m;
   }
 
-  // Branch-exit CSR (mux m, branch b -> exit vertex of that branch).
-  std::vector<std::uint32_t> muxBranchOffsets(muxCount + 1, 0);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    muxBranchOffsets[m + 1] =
-        muxBranchOffsets[m] + static_cast<std::uint32_t>(muxArity[m]);
-  std::vector<graph::VertexId> muxBranchExit(muxBranchOffsets[muxCount]);
-  for (std::size_t m = 0; m < muxCount; ++m)
-    std::copy(gv.muxBranchExit[m].begin(), gv.muxBranchExit[m].end(),
-              muxBranchExit.begin() + muxBranchOffsets[m]);
-
   // --------------------------------------------------- guarded CSR
   // Branch span of the original edge exit -> mux(m): every branch of m
   // whose exit vertex is `exit` (parallel edges share the full span).
   std::vector<std::uint32_t> branchPool;
-  const auto appendSpan = [&](std::uint32_t m, graph::VertexId exit) {
-    const auto begin = static_cast<std::uint32_t>(branchPool.size());
-    for (std::size_t b = 0; b < gv.muxBranchExit[m].size(); ++b)
-      if (gv.muxBranchExit[m][b] == exit)
-        branchPool.push_back(static_cast<std::uint32_t>(b));
-    return std::pair{begin, static_cast<std::uint32_t>(branchPool.size())};
+  const auto annotate = [&](Edge& e, std::uint32_t m, graph::VertexId exit) {
+    e.mux = m;
+    if (m == kNone) return;
+    e.branchBegin = static_cast<std::uint32_t>(branchPool.size());
+    for (std::uint32_t b = 0; b < muxArity[m]; ++b)
+      if (muxBranchExit[muxBranchOffsets[m] + b] == exit)
+        branchPool.push_back(b);
+    e.branchEnd = static_cast<std::uint32_t>(branchPool.size());
   };
-
-  const graph::Csr fwd = graph::buildCsr(g, /*reverse=*/false);
-  const graph::Csr bwd = graph::buildCsr(g, /*reverse=*/true);
-  std::vector<Edge> fwdEdges(fwd.targets.size());
-  std::vector<Edge> bwdEdges(bwd.targets.size());
   for (graph::VertexId v = 0; v < vertices; ++v) {
-    for (std::uint32_t i = fwd.rowBegin(v); i < fwd.rowEnd(v); ++i) {
-      // Original edge v -> t: guarded iff t is a mux vertex.
-      const graph::VertexId t = fwd.targets[i];
-      Edge e{t, muxOfVertex[t], 0, 0};
-      if (e.mux != kNone)
-        std::tie(e.branchBegin, e.branchEnd) = appendSpan(e.mux, v);
-      fwdEdges[i] = e;
-    }
-    for (std::uint32_t i = bwd.rowBegin(v); i < bwd.rowEnd(v); ++i) {
-      // Original edge p -> v: guarded iff v is a mux vertex.
-      const graph::VertexId p = bwd.targets[i];
-      Edge e{p, muxOfVertex[v], 0, 0};
-      if (e.mux != kNone)
-        std::tie(e.branchBegin, e.branchEnd) = appendSpan(e.mux, p);
-      bwdEdges[i] = e;
-    }
+    // Original edge v -> t: guarded iff t is a mux vertex.
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i)
+      annotate(fwdEdges[i], muxOfVertex[fwdEdges[i].other], v);
+    // Original edge p -> v: guarded iff v is a mux vertex.
+    for (std::uint32_t i = bwdOffsets[v]; i < bwdOffsets[v + 1]; ++i)
+      annotate(bwdEdges[i], muxOfVertex[v], bwdEdges[i].other);
   }
-
-  // ---------------------------------------------------- guard sets
-  using GuardSet = std::vector<GuardRef>;
-  std::vector<GuardSet> guardsOf(segCount);
-  GuardSet cur;
-  const auto walk = [&](auto&& self, NodeId id) -> void {
-    const auto& n = net.structure().node(id);
-    switch (n.kind) {
-      case NodeKind::Segment:
-        guardsOf[n.prim] = cur;
-        return;
-      case NodeKind::Wire:
-        return;
-      case NodeKind::Serial:
-        for (const NodeId c : n.children) self(self, c);
-        return;
-      case NodeKind::MuxJoin: {
-        const bool segCtrl = net.mux(n.prim).controlSegment != kNone;
-        for (std::size_t b = 0; b < n.children.size(); ++b) {
-          const bool guarded = segCtrl && b != 0;
-          if (guarded)
-            cur.push_back({n.prim, static_cast<std::uint32_t>(b)});
-          self(self, n.children[b]);
-          if (guarded) cur.pop_back();
-        }
-        return;
-      }
-    }
-  };
-  walk(walk, net.structure().root());
 
   // ------------------------------------------- configuration depths
   // Mutual recursion: a demand on mux m lands once its address register
@@ -358,8 +387,6 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   guardOffsets[segCount] = static_cast<std::uint32_t>(guardPool.size());
 
   // ------------------------------------------------- pack the arena
-  const std::vector<graph::VertexId>& segmentVertex = gv.segmentVertex;
-  const std::vector<graph::VertexId>& muxVertex = gv.muxVertex;
   Pending pending[kSectionCount];
   pending[kSegLength] = pend(segLength);
   pending[kSegInstrument] = pend(segInstrument);
@@ -384,9 +411,9 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   pending[kInstVertex] = pend(instVertex);
   pending[kInstObsWeight] = pend(instObs);
   pending[kInstSetWeight] = pend(instSet);
-  pending[kFwdOffsets] = pend(fwd.offsets);
+  pending[kFwdOffsets] = pend(fwdOffsets);
   pending[kFwdEdges] = pend(fwdEdges);
-  pending[kBwdOffsets] = pend(bwd.offsets);
+  pending[kBwdOffsets] = pend(bwdOffsets);
   pending[kBwdEdges] = pend(bwdEdges);
   pending[kBranchPool] = pend(branchPool);
   pending[kCtrlRegVertex] = pend(ctrlRegVertex);
@@ -432,17 +459,19 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   hdr.ctrlMuxes = ctrlMuxes.size();
   hdr.ctrlEdges = ctrlEdges.size();
   hdr.branchExits = muxBranchExit.size();
-  hdr.scanIn = gv.scanIn;
-  hdr.scanOut = gv.scanOut;
+  hdr.scanIn = scanIn;
+  hdr.scanOut = scanOut;
   std::memcpy(base, &hdr, sizeof hdr);
 
-  const Status attached = view->attach();
+  // The fingerprint was just computed from these bytes; re-hashing them
+  // would double the cost of lowering.
+  const Status attached = view->attach(/*verifyFingerprint=*/false);
   RRSN_CHECK(attached.ok(),
              "freshly lowered arena failed to attach: " + attached.toString());
   return view;
 }
 
-Status FlatNetwork::attach() {
+Status FlatNetwork::attach(bool verifyFingerprint) {
   if (!mapped_.empty()) {
     base_ = mapped_.data();
     size_ = mapped_.size();
@@ -529,7 +558,8 @@ Status FlatNetwork::attach() {
       return Status::dataLoss("flat arena section " + std::to_string(i) +
                               " lies outside the buffer");
   }
-  if (fingerprintSections(base_, table, kSectionCount) != hdr.fingerprint)
+  if (verifyFingerprint &&
+      fingerprintSections(base_, table, kSectionCount) != hdr.fingerprint)
     return Status::dataLoss(
         "flat arena payload does not match its fingerprint");
 
@@ -636,6 +666,46 @@ std::size_t FlatNetwork::vertexCount() const {
 graph::VertexId FlatNetwork::scanIn() const { return headerOf(base_).scanIn; }
 graph::VertexId FlatNetwork::scanOut() const {
   return headerOf(base_).scanOut;
+}
+
+std::string toDot(const Network& net) {
+  const auto flat = FlatNetwork::lower(net);
+  const auto quote = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out.push_back('\\');
+      out.push_back(c);
+    }
+    out.push_back('"');
+    return out;
+  };
+  const std::size_t vertices = flat->vertexCount();
+  std::vector<std::string> nodes(vertices);
+  nodes[flat->scanIn()] = "label=\"SI\",shape=ellipse";
+  nodes[flat->scanOut()] = "label=\"SO\",shape=ellipse";
+  for (std::size_t s = 0; s < net.segments().size(); ++s) {
+    const Segment& seg = net.segments()[s];
+    nodes[flat->segmentVertex()[s]] =
+        "label=" + quote(seg.name) +
+        (seg.instrument != kNone
+             ? ",shape=box,style=filled,fillcolor=lightyellow"
+             : ",shape=box");
+  }
+  for (std::size_t m = 0; m < net.muxes().size(); ++m) {
+    const std::string& name = net.muxes()[m].name;
+    nodes[flat->muxVertex()[m]] = "label=" + quote(name) + ",shape=trapezium";
+    nodes[flat->fanoutVertex(m)] = "label=" + quote("fo_" + name) +
+                                   ",shape=point";
+  }
+  std::string out = "digraph " + quote(net.name()) + " {\n  rankdir=LR;\n";
+  for (std::size_t v = 0; v < vertices; ++v)
+    out += "  n" + std::to_string(v) + " [" + nodes[v] + "];\n";
+  const auto offsets = flat->fwdOffsets();
+  for (std::size_t v = 0; v < vertices; ++v)
+    for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e)
+      out += "  n" + std::to_string(v) + " -> n" +
+             std::to_string(flat->fwdEdges()[e].other) + ";\n";
+  return out + "}\n";
 }
 
 }  // namespace rrsn::rsn

@@ -1,12 +1,13 @@
-// Arena-backed structure-of-arrays core of an RSN (`FlatNetwork`).
+// Arena-backed structure-of-arrays core of an RSN (`FlatNetwork`): the
+// one scan-graph model of the repo (Sec. III, Fig. 2).
 //
-// The pointer-rich Network / GraphView model is convenient to build and
-// validate, but every hot analysis kernel (criticality, dictionary
-// sweeps, campaign oracles, SPEA-2 fitness assembly) wants contiguous
-// id-indexed arrays it can stream with no pointer chasing.  This module
-// lowers a validated Network exactly once into a single relocatable
-// buffer — one bump-allocated arena holding every derived array the
-// kernels consume:
+// The typed Network (primitives + Structure tree) is convenient to build
+// and validate, but every graph consumer — the analysis kernels
+// (criticality, certifier, campaign oracles, SPEA-2 fitness assembly),
+// the retargeter's path search, the graph-walk oracle and lint — wants
+// contiguous id-indexed arrays it can stream with no pointer chasing.
+// lower() walks the Structure tree once and emits a single relocatable
+// buffer — one bump-allocated arena holding every derived array:
 //
 //   * per-segment: scan length, instrument id, flags (SIB register /
 //     controls-a-mux), graph vertex, configuration depth, guard set
@@ -20,6 +21,11 @@
 //   * control-dependency graph: CSR from each segment to the muxes it
 //     addresses;
 //   * per-vertex: control-register flag, owning mux.
+//
+// Vertex numbering is canonical: SI = 0, segment s = 1 + s, then one
+// (mux, entry fan-out) pair per mux in id order, SO last.  Each vertex's
+// CSR row lists its neighbours in wiring order (the order the structure
+// walk connects them), which fixes path-enumeration order downstream.
 //
 // Layout: a fixed header (magic, format version, FNV-1a content
 // fingerprint, entity counts), a section table, then the 64-byte-aligned
@@ -38,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -175,6 +182,10 @@ class FlatNetwork {
   Span<graph::VertexId> muxCtrlVertex() const { return muxCtrlVertex_; }
   Span<std::uint32_t> muxArity() const { return muxArity_; }
   Span<graph::VertexId> muxVertex() const { return muxVertex_; }
+  /// Entry fan-out of mux m (the vertex numbered right after the mux).
+  graph::VertexId fanoutVertex(std::size_t m) const {
+    return muxVertex_[m] + 1;
+  }
   Span<std::uint32_t> demandDepth() const { return demandDepth_; }
   Span<std::uint32_t> selOffset() const { return selOffset_; }
   /// Branch-exit CSR: branch b of mux m exits at
@@ -218,8 +229,9 @@ class FlatNetwork {
   /// Re-derives the cached section spans from [base_, base_ + size_)
   /// (after lowering, adopting a deserialized buffer, or mapping a
   /// file).  Returns a non-OK status when the section table does not
-  /// describe a well-formed arena.
-  Status attach();
+  /// describe a well-formed arena or, with `verifyFingerprint`, when
+  /// the payload does not match the header's fingerprint.
+  Status attach(bool verifyFingerprint = true);
 
   /// Arena backing: exactly one of arena_ (owned bytes) and mapped_
   /// (read-only file mapping) is non-empty; base_/size_ always name
@@ -246,5 +258,10 @@ class FlatNetwork {
   Span<std::uint8_t> ctrlRegVertex_;
   Span<std::uint32_t> muxOfVertex_;
 };
+
+/// Graphviz DOT rendering of the scan graph with RSN-aware shapes
+/// (segments: boxes, muxes: trapezoids, fan-outs: points, ports:
+/// ellipses).
+std::string toDot(const Network& net);
 
 }  // namespace rrsn::rsn

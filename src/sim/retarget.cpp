@@ -5,7 +5,6 @@
 
 #include "fault/effects.hpp"
 #include "obs/obs.hpp"
-#include "rsn/graph_view.hpp"
 
 namespace rrsn::sim {
 
@@ -23,6 +22,30 @@ void recordAccess(const RetargetResult& res) {
   obs::sample(kRounds, res.rounds);
 }
 
+/// Rejects faults naming a primitive or stuck branch the arena does not
+/// have — an out-of-range stuck branch would otherwise index another
+/// mux's branch exits.
+void checkFaults(const rsn::FlatNetwork& flat,
+                 const std::vector<fault::Fault>& faults) {
+  for (const fault::Fault& f : faults) {
+    if (f.kind == fault::FaultKind::SegmentBreak) {
+      RRSN_CHECK(f.prim < flat.segmentCount(), "segment id out of range");
+      continue;
+    }
+    RRSN_CHECK(f.prim < flat.muxCount(), "mux id out of range");
+    RRSN_CHECK(f.stuckBranch < flat.muxArity()[f.prim],
+               "stuck branch " + std::to_string(f.stuckBranch) +
+                   " out of range for a mux of arity " +
+                   std::to_string(flat.muxArity()[f.prim]));
+  }
+}
+
+/// Exit vertex of branch b of mux m.
+graph::VertexId branchExit(const rsn::FlatNetwork& flat, rsn::MuxId m,
+                           std::uint32_t b) {
+  return flat.muxBranchExit()[flat.muxBranchOffsets()[m] + b];
+}
+
 /// Edge admissibility under a set of simultaneous faults: stuck-mux
 /// edges are always enforced; broken segments' vertices are impassable
 /// unless `allowBreak`.  Shared by the BFS below and the bounded
@@ -32,14 +55,14 @@ struct FaultEdges {
   /// (mux vertex, only admissible predecessor) per stuck fault.
   std::vector<std::pair<graph::VertexId, graph::VertexId>> stuck;
 
-  FaultEdges(const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
-             bool allowBreak) {
+  FaultEdges(const rsn::FlatNetwork& flat,
+             const std::vector<fault::Fault>& faults, bool allowBreak) {
     for (const fault::Fault& f : faults) {
       if (f.kind == fault::FaultKind::SegmentBreak) {
-        if (!allowBreak) broken.push_back(gv.segmentVertex[f.prim]);
+        if (!allowBreak) broken.push_back(flat.segmentVertex()[f.prim]);
       } else {
-        stuck.emplace_back(gv.muxVertex[f.prim],
-                           gv.muxBranchExit[f.prim][f.stuckBranch]);
+        stuck.emplace_back(flat.muxVertex()[f.prim],
+                           branchExit(flat, f.prim, f.stuckBranch));
       }
     }
   }
@@ -58,23 +81,25 @@ struct FaultEdges {
   }
 };
 
-/// BFS with parent pointers between two vertices of the graph view.
+/// BFS with parent pointers between two vertices of the scan graph.
 std::optional<std::vector<graph::VertexId>> findPath(
-    const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
+    const rsn::FlatNetwork& flat, const std::vector<fault::Fault>& faults,
     graph::VertexId from, graph::VertexId to, bool allowBreak) {
-  const graph::Digraph& g = gv.graph;
-  const FaultEdges edges(gv, faults, allowBreak);
+  const FaultEdges edges(flat, faults, allowBreak);
   if (edges.blocksVertex(from) || edges.blocksVertex(to)) return std::nullopt;
 
-  std::vector<graph::VertexId> parent(g.vertexCount(), graph::kNoVertex);
-  std::vector<bool> seen(g.vertexCount(), false);
+  const auto offsets = flat.fwdOffsets();
+  const auto succ = flat.fwdEdges();
+  std::vector<graph::VertexId> parent(flat.vertexCount(), graph::kNoVertex);
+  std::vector<bool> seen(flat.vertexCount(), false);
   std::queue<graph::VertexId> work;
   seen[from] = true;
   work.push(from);
   while (!work.empty() && !seen[to]) {
     const graph::VertexId v = work.front();
     work.pop();
-    for (graph::VertexId s : g.successors(v)) {
+    for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const graph::VertexId s = succ[e].other;
       if (!edges.allows(v, s)) continue;
       if (!seen[s]) {
         seen[s] = true;
@@ -99,18 +124,19 @@ std::optional<std::vector<graph::VertexId>> findPath(
 /// in deterministic successor order, shortest-ish first is NOT
 /// guaranteed — callers verify each candidate end to end anyway.
 std::vector<std::vector<graph::VertexId>> enumeratePaths(
-    const rsn::GraphView& gv, const std::vector<fault::Fault>& faults,
+    const rsn::FlatNetwork& flat, const std::vector<fault::Fault>& faults,
     graph::VertexId from, graph::VertexId to, bool allowBreak,
     std::size_t limit) {
   std::vector<std::vector<graph::VertexId>> out;
   if (limit == 0) return out;
-  const graph::Digraph& g = gv.graph;
-  const FaultEdges edges(gv, faults, allowBreak);
+  const FaultEdges edges(flat, faults, allowBreak);
   if (edges.blocksVertex(from) || edges.blocksVertex(to)) return out;
 
   // Reverse reachability: canReach[v] iff an admissible path v -> to
-  // exists.  Walking predecessor edges checks allows(pred, v).
-  std::vector<bool> canReach(g.vertexCount(), false);
+  // exists.  Walking the transposed rows checks allows(pred, v).
+  const auto bwdOffsets = flat.bwdOffsets();
+  const auto pred = flat.bwdEdges();
+  std::vector<bool> canReach(flat.vertexCount(), false);
   {
     std::queue<graph::VertexId> work;
     canReach[to] = true;
@@ -118,7 +144,8 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
     while (!work.empty()) {
       const graph::VertexId v = work.front();
       work.pop();
-      for (graph::VertexId p : g.predecessors(v)) {
+      for (std::uint32_t e = bwdOffsets[v]; e < bwdOffsets[v + 1]; ++e) {
+        const graph::VertexId p = pred[e].other;
         if (!edges.allows(p, v) || canReach[p]) continue;
         canReach[p] = true;
         work.push(p);
@@ -127,12 +154,15 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
   }
   if (!canReach[from]) return out;
 
-  // Iterative DFS over admissible successors that can still reach `to`.
+  // Iterative DFS over admissible successors that can still reach `to`;
+  // a frame's cursor walks its forward CSR row.
+  const auto fwdOffsets = flat.fwdOffsets();
+  const auto succ = flat.fwdEdges();
   struct Frame {
     graph::VertexId vertex;
-    std::size_t nextSucc = 0;
+    std::uint32_t next;
   };
-  std::vector<Frame> stack{{from, 0}};
+  std::vector<Frame> stack{{from, fwdOffsets[from]}};
   std::vector<graph::VertexId> prefix{from};
   while (!stack.empty() && out.size() < limit) {
     const std::size_t idx = stack.size() - 1;  // index: push_back below
@@ -143,12 +173,11 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
       prefix.pop_back();
       continue;
     }
-    const auto& succs = g.successors(v);
     bool descended = false;
-    while (stack[idx].nextSucc < succs.size()) {
-      const graph::VertexId s = succs[stack[idx].nextSucc++];
+    while (stack[idx].next < fwdOffsets[v + 1]) {
+      const graph::VertexId s = succ[stack[idx].next++].other;
       if (!edges.allows(v, s) || !canReach[s]) continue;
-      stack.push_back({s, 0});
+      stack.push_back({s, fwdOffsets[s]});
       prefix.push_back(s);
       descended = true;
       break;
@@ -168,32 +197,28 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
 /// for the branch it is actually stuck at whenever that branch matches
 /// the walk (any other demand could never be realized).
 std::map<rsn::MuxId, std::uint32_t> selectionsFromPath(
-    const rsn::GraphView& gv, const std::vector<graph::VertexId>& path,
+    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& path,
     const std::vector<fault::Fault>& faults) {
   std::map<rsn::MuxId, std::uint32_t> sel;
   for (std::size_t k = 1; k < path.size(); ++k) {
-    const graph::VertexId v = path[k];
-    for (rsn::MuxId m = 0; m < gv.muxVertex.size(); ++m) {
-      if (gv.muxVertex[m] != v) continue;
-      const graph::VertexId pred = path[k - 1];
-      const auto& exits = gv.muxBranchExit[m];
-      bool stuckMatched = false;
-      for (const fault::Fault& f : faults) {
-        if (f.kind == fault::FaultKind::MuxStuck && f.prim == m &&
-            exits[f.stuckBranch] == pred) {
-          sel[m] = f.stuckBranch;
-          stuckMatched = true;
-          break;
-        }
+    const rsn::MuxId m = flat.muxOfVertex()[path[k]];
+    if (m == rsn::kNone) continue;
+    const graph::VertexId pred = path[k - 1];
+    bool stuckMatched = false;
+    for (const fault::Fault& f : faults) {
+      if (f.kind == fault::FaultKind::MuxStuck && f.prim == m &&
+          branchExit(flat, m, f.stuckBranch) == pred) {
+        sel[m] = f.stuckBranch;
+        stuckMatched = true;
+        break;
       }
-      if (stuckMatched) break;
-      for (std::uint32_t b = 0; b < exits.size(); ++b) {
-        if (exits[b] == pred) {
-          sel[m] = b;
-          break;
-        }
+    }
+    if (stuckMatched) continue;
+    for (std::uint32_t b = 0; b < flat.muxArity()[m]; ++b) {
+      if (branchExit(flat, m, b) == pred) {
+        sel[m] = b;
+        break;
       }
-      break;
     }
   }
   return sel;
@@ -232,44 +257,21 @@ bool replayPatterns(ScanSimulator& sim, const RetargetResult& recorded) {
   return true;
 }
 
-Retargeter::Retargeter(ScanSimulator& sim, RetargetOptions options)
-    : sim_(&sim), options_(options), gv_(rsn::buildGraphView(sim.network())) {
+Retargeter::Retargeter(ScanSimulator& sim,
+                       std::shared_ptr<const rsn::FlatNetwork> flat,
+                       RetargetOptions options)
+    : sim_(&sim), options_(options), flat_(std::move(flat)) {
   const rsn::Network& net = sim.network();
+  RRSN_CHECK(flat_ != nullptr &&
+                 flat_->segmentCount() == net.segments().size() &&
+                 flat_->muxCount() == net.muxes().size(),
+             "retargeter arena was not lowered from the simulated network");
   maxRounds_ = options_.maxRounds != 0 ? options_.maxRounds
                                        : net.stats().maxMuxNesting + 2;
-  ancestors_.assign(net.segments().size(), {});
-
-  // One DFS assigning every segment its (mux, branch) ancestor chain.
-  std::vector<std::pair<rsn::MuxId, std::uint32_t>> context;
-  const auto walk = [&](auto&& self, rsn::NodeId nodeId) -> void {
-    const auto& n = net.structure().node(nodeId);
-    switch (n.kind) {
-      case rsn::NodeKind::Wire:
-        return;
-      case rsn::NodeKind::Segment:
-        ancestors_[n.prim] = context;
-        return;
-      case rsn::NodeKind::Serial:
-        for (rsn::NodeId c : n.children) self(self, c);
-        return;
-      case rsn::NodeKind::MuxJoin:
-        for (std::uint32_t b = 0; b < n.children.size(); ++b) {
-          context.emplace_back(n.prim, b);
-          self(self, n.children[b]);
-          context.pop_back();
-        }
-        return;
-    }
-  };
-  walk(walk, net.structure().root());
 }
 
-std::map<rsn::MuxId, std::uint32_t> Retargeter::ancestorSelections(
-    rsn::SegmentId seg) const {
-  std::map<rsn::MuxId, std::uint32_t> sel;
-  for (const auto& [mux, branch] : ancestors_[seg]) sel[mux] = branch;
-  return sel;
-}
+Retargeter::Retargeter(ScanSimulator& sim, RetargetOptions options)
+    : Retargeter(sim, rsn::FlatNetwork::lower(sim.network()), options) {}
 
 RetargetResult Retargeter::realizeSelections(
     const std::map<rsn::MuxId, std::uint32_t>& selections) {
@@ -344,12 +346,12 @@ namespace {
 /// Joins a prefix (scan-in -> seg) and suffix (seg -> scan-out) into the
 /// mux selections realizing the combined walk.
 std::map<rsn::MuxId, std::uint32_t> joinSelections(
-    const rsn::GraphView& gv, const std::vector<graph::VertexId>& prefix,
+    const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& prefix,
     const std::vector<graph::VertexId>& suffix,
     const std::vector<fault::Fault>& faults) {
   std::vector<graph::VertexId> whole = prefix;
   whole.insert(whole.end(), suffix.begin() + 1, suffix.end());
-  return selectionsFromPath(gv, whole, faults);
+  return selectionsFromPath(flat, whole, faults);
 }
 
 bool containsBreak(const std::vector<fault::Fault>& faults) {
@@ -376,13 +378,13 @@ bool breaksSegment(const std::vector<fault::Fault>& faults,
 /// flavor (tolerable on the scan-out side).  Duplicates of earlier
 /// entries are dropped, and the total is capped at 1 + maxReroutes.
 static std::vector<std::pair<std::map<rsn::MuxId, std::uint32_t>, bool>>
-candidateSelections(const rsn::GraphView& gv,
+candidateSelections(const rsn::FlatNetwork& flat,
                     const std::vector<fault::Fault>& faults,
                     rsn::SegmentId seg, bool breakBeforeSegTolerable,
                     const RetargetOptions& options) {
   using Selections = std::map<rsn::MuxId, std::uint32_t>;
   std::vector<std::pair<Selections, bool>> out;  // (selections, rerouted)
-  const graph::VertexId segV = gv.segmentVertex[seg];
+  const graph::VertexId segV = flat.segmentVertex()[seg];
 
   const auto push = [&](Selections sel, bool rerouted) {
     for (const auto& [existing, r] : out)
@@ -393,10 +395,10 @@ candidateSelections(const rsn::GraphView& gv,
   // Nominal: shortest path ignoring the faults (selections derived
   // fault-unaware too — this is the recipe of an oblivious controller).
   {
-    const auto prefix = findPath(gv, {}, gv.scanIn, segV, false);
-    const auto suffix = findPath(gv, {}, segV, gv.scanOut, false);
+    const auto prefix = findPath(flat, {}, flat.scanIn(), segV, false);
+    const auto suffix = findPath(flat, {}, segV, flat.scanOut(), false);
     if (prefix && suffix)
-      push(joinSelections(gv, *prefix, *suffix, {}), false);
+      push(joinSelections(flat, *prefix, *suffix, {}), false);
   }
 
   if (faults.empty() || !options.allowReroute || options.maxReroutes == 0)
@@ -411,14 +413,14 @@ candidateSelections(const rsn::GraphView& gv,
     if (tolerateBreak && !containsBreak(faults)) break;
     const bool allowPrefixBreak = tolerateBreak && breakBeforeSegTolerable;
     const bool allowSuffixBreak = tolerateBreak && !breakBeforeSegTolerable;
-    const auto prefixes =
-        enumeratePaths(gv, faults, gv.scanIn, segV, allowPrefixBreak, cap);
-    const auto suffixes =
-        enumeratePaths(gv, faults, segV, gv.scanOut, allowSuffixBreak, cap);
+    const auto prefixes = enumeratePaths(flat, faults, flat.scanIn(), segV,
+                                         allowPrefixBreak, cap);
+    const auto suffixes = enumeratePaths(flat, faults, segV, flat.scanOut(),
+                                         allowSuffixBreak, cap);
     for (const auto& prefix : prefixes) {
       for (const auto& suffix : suffixes) {
         if (out.size() > cap) return out;  // entry 0 is the nominal recipe
-        push(joinSelections(gv, prefix, suffix, faults), true);
+        push(joinSelections(flat, prefix, suffix, faults), true);
       }
     }
   }
@@ -430,6 +432,7 @@ RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
   const rsn::Network& net = sim_->network();
   const rsn::SegmentId seg = net.instrument(i).segment;
   const std::vector<fault::Fault> faults = sim_->injectedFaults();
+  checkFaults(*flat_, faults);
 
   RetargetResult best;
   if (breaksSegment(faults, seg)) {
@@ -441,7 +444,7 @@ RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
   // scan-in side only shifts garbage in behind the marker.
   bool first = true;
   for (const auto& [selections, rerouted] : candidateSelections(
-           gv_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
+           *flat_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
     // A failed attempt can leave X in address registers (a shift across
     // a broken segment poisons everything downstream, including SIB
     // registers that sit behind their content), with no scan-accessible
@@ -496,6 +499,7 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
   RRSN_CHECK(value.size() == net.segment(seg).length,
              "write value length mismatch");
   const std::vector<fault::Fault> faults = sim_->injectedFaults();
+  checkFaults(*flat_, faults);
 
   RetargetResult best;
   if (breaksSegment(faults, seg)) {
@@ -508,7 +512,7 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
   // As in readInstrument, each candidate recipe starts from power-on.
   bool first = true;
   for (const auto& [selections, rerouted] : candidateSelections(
-           gv_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
+           *flat_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
     if (!first) {
       sim_->reset();
       sim_->injectFaults(faults);
@@ -549,29 +553,37 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
   return best;
 }
 
-AccessReport strictAccessibility(const rsn::Network& net,
-                                 const fault::Fault* f) {
+AccessReport probeAccessSet(const rsn::Network& net,
+                            std::shared_ptr<const rsn::FlatNetwork> flat,
+                            const std::vector<fault::Fault>& faults) {
   AccessReport report;
   const std::size_t n = net.instruments().size();
   report.observable = DynamicBitset(n);
   report.settable = DynamicBitset(n);
+  ScanSimulator sim(net);
+  Retargeter rt(sim, std::move(flat));
+  // Every access starts from power-on with only the defects present;
+  // reset() restores exactly the state of a freshly built simulator.
+  const auto powerOn = [&]() {
+    sim.reset();
+    sim.injectFaults(faults);
+  };
   for (rsn::InstrumentId i = 0; i < n; ++i) {
-    {
-      ScanSimulator sim(net);
-      if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim);
-      if (rt.readInstrument(i).success) report.observable.set(i);
-    }
-    {
-      ScanSimulator sim(net);
-      if (f != nullptr) sim.injectFault(*f);
-      Retargeter rt(sim);
-      const auto marker =
-          accessMarker(net.segment(net.instrument(i).segment).length);
-      if (rt.writeInstrument(i, marker).success) report.settable.set(i);
-    }
+    powerOn();
+    if (rt.readInstrument(i).success) report.observable.set(i);
+    powerOn();
+    const auto marker =
+        accessMarker(net.segment(net.instrument(i).segment).length);
+    if (rt.writeInstrument(i, marker).success) report.settable.set(i);
   }
   return report;
+}
+
+AccessReport strictAccessibility(const rsn::Network& net,
+                                 const fault::Fault* f) {
+  return probeAccessSet(net, rsn::FlatNetwork::lower(net),
+                        f != nullptr ? std::vector<fault::Fault>{*f}
+                                     : std::vector<fault::Fault>{});
 }
 
 AccessReport structuralAccessibility(const rsn::Network& net,
@@ -583,8 +595,8 @@ AccessReport structuralAccessibility(const rsn::Network& net,
   report.observable.setAll();
   report.settable.setAll();
   if (f != nullptr) {
-    const rsn::GraphView gv = rsn::buildGraphView(net);
-    const auto loss = fault::lossUnderFaultGraph(net, gv, *f);
+    const auto loss =
+        fault::lossUnderFaultGraph(*rsn::FlatNetwork::lower(net), *f);
     loss.unobservable.forEachSet(
         [&](std::size_t i) { report.observable.reset(i); });
     loss.unsettable.forEachSet(

@@ -13,8 +13,9 @@
 #pragma once
 
 #include <map>
+#include <memory>
 
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sim/simulator.hpp"
 #include "support/bitset.hpp"
 
@@ -71,6 +72,12 @@ bool replayPatterns(ScanSimulator& sim, const RetargetResult& recorded);
 /// Retargeting engine bound to one simulator instance.
 class Retargeter {
  public:
+  /// Binds the engine to `sim` and to the arena lowered from the
+  /// simulated network; callers running many accesses (campaigns, the
+  /// access-set probe) lower once and share it.
+  Retargeter(ScanSimulator& sim, std::shared_ptr<const rsn::FlatNetwork> flat,
+             RetargetOptions options = {});
+  /// One-off engine: lowers the simulated network itself.
   explicit Retargeter(ScanSimulator& sim, RetargetOptions options = {});
 
   /// Steers the given mux selections (segment-controlled muxes through
@@ -82,7 +89,8 @@ class Retargeter {
 
   /// End-to-end read: configures a path through instrument i's segment,
   /// captures a marker from the instrument and checks the marker arrives
-  /// at scan-out unpoisoned.
+  /// at scan-out unpoisoned.  Throws Error if an injected fault names a
+  /// primitive or stuck branch the network does not have.
   RetargetResult readInstrument(rsn::InstrumentId i);
 
   /// End-to-end write: configures a path, shifts `value` into the
@@ -91,18 +99,12 @@ class Retargeter {
                                  const std::vector<Bit>& value);
 
  private:
-  /// Mux selections steering the structural path onto `seg`
-  /// (its MuxJoin ancestors), or selections from a concrete graph path.
-  std::map<rsn::MuxId, std::uint32_t> ancestorSelections(
-      rsn::SegmentId seg) const;
-
   ScanSimulator* sim_;
   RetargetOptions options_;
-  std::size_t maxRounds_;
-  /// Built once per engine; the topology never changes under a fault.
-  rsn::GraphView gv_;
-  /// ancestors_[seg] = (mux, branch) chain from outermost to innermost.
-  std::vector<std::vector<std::pair<rsn::MuxId, std::uint32_t>>> ancestors_;
+  std::size_t maxRounds_ = 0;
+  /// The scan graph paths are searched on; the topology never changes
+  /// under a fault.
+  std::shared_ptr<const rsn::FlatNetwork> flat_;
 };
 
 /// Per-instrument accessibility under an optional fault.
@@ -111,10 +113,18 @@ struct AccessReport {
   DynamicBitset settable;
 };
 
-/// Strict (simulation-backed) accessibility: runs the retargeting engine
-/// per instrument on a freshly reset simulator with `f` injected
-/// (nullptr: fault-free).  Exponentially safer but linear-time slower
-/// than the structural analysis; intended for small/medium networks.
+/// The standard access set on the simulator: one read and one write of
+/// every instrument, each from power-on with `faults` injected, retargeted
+/// over `flat` (lowered from `net`).  The one per-probe loop behind
+/// strictAccessibility and the fault dictionary's measurements.
+AccessReport probeAccessSet(const rsn::Network& net,
+                            std::shared_ptr<const rsn::FlatNetwork> flat,
+                            const std::vector<fault::Fault>& faults);
+
+/// Strict (simulation-backed) accessibility: probeAccessSet with `f`
+/// injected (nullptr: fault-free).  Exponentially safer but linear-time
+/// slower than the structural analysis; intended for small/medium
+/// networks.
 AccessReport strictAccessibility(const rsn::Network& net,
                                  const fault::Fault* f);
 

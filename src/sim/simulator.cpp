@@ -38,7 +38,43 @@ std::string toString(const std::vector<Bit>& bits) {
   return out;
 }
 
-ScanSimulator::ScanSimulator(const rsn::Network& net) : net_(&net) { reset(); }
+ScanSimulator::ScanSimulator(const rsn::Network& net)
+    : net_(&net), muxArity_(net.muxes().size(), 0) {
+  const rsn::Structure& st = net.structure();
+  st.preOrder([&](rsn::NodeId id) {
+    const auto& n = st.node(id);
+    if (n.kind == rsn::NodeKind::MuxJoin)
+      muxArity_[n.prim] = static_cast<std::uint32_t>(n.children.size());
+  });
+  reset();
+}
+
+void ScanSimulator::checkFault(const fault::Fault& f) const {
+  if (f.kind == fault::FaultKind::SegmentBreak) {
+    RRSN_CHECK(f.prim < net_->segments().size(), "segment id out of range");
+    return;
+  }
+  RRSN_CHECK(f.prim < muxArity_.size(), "mux id out of range");
+  RRSN_CHECK(f.stuckBranch < muxArity_[f.prim],
+             "stuck branch " + std::to_string(f.stuckBranch) +
+                 " out of range for mux '" + net_->mux(f.prim).name +
+                 "' of arity " + std::to_string(muxArity_[f.prim]));
+}
+
+void ScanSimulator::injectFault(const fault::Fault& f) {
+  checkFault(f);
+  faults_.assign(1, f);
+}
+
+void ScanSimulator::injectFaults(std::vector<fault::Fault> faults) {
+  for (const fault::Fault& f : faults) checkFault(f);
+  faults_ = std::move(faults);
+}
+
+void ScanSimulator::addFault(const fault::Fault& f) {
+  checkFault(f);
+  faults_.push_back(f);
+}
 
 void ScanSimulator::reset() {
   state_.assign(net_->segments().size(), {});

@@ -74,15 +74,15 @@ class ScanSimulator {
   void resetConfiguration();
 
   /// Injects a single permanent fault (replacing all previous ones).
-  void injectFault(const fault::Fault& f) { faults_.assign(1, f); }
+  /// Every inject call throws Error for a fault naming a primitive the
+  /// network does not have or a stuck branch >= the mux's arity.
+  void injectFault(const fault::Fault& f);
   /// Injects a set of simultaneous permanent faults (replacing all
   /// previous ones).  Two stuck faults on the same mux are contradictory
   /// hardware; the first one in the list wins deterministically.
-  void injectFaults(std::vector<fault::Fault> faults) {
-    faults_ = std::move(faults);
-  }
+  void injectFaults(std::vector<fault::Fault> faults);
   /// Adds one more simultaneous permanent fault.
-  void addFault(const fault::Fault& f) { faults_.push_back(f); }
+  void addFault(const fault::Fault& f);
   void clearFault() { faults_.clear(); }
   const std::vector<fault::Fault>& injectedFaults() const { return faults_; }
   /// The first injected fault, if any — the single-fault view used by
@@ -142,11 +142,13 @@ class ScanSimulator {
     std::vector<Bit> instrumentValue;  ///< empty: capture update instead
   };
 
+  void checkFault(const fault::Fault& f) const;
   std::uint32_t resolveSelection(rsn::MuxId m) const;
   bool walkPath(rsn::NodeId node, PathInfo& path) const;
   bool isBroken(rsn::SegmentId s) const;
 
   const rsn::Network* net_;
+  std::vector<std::uint32_t> muxArity_;  ///< branch count per mux
   std::vector<SegmentState> state_;
   std::vector<std::uint32_t> externalAddress_;
   std::vector<fault::Fault> faults_;

@@ -22,13 +22,16 @@ struct ReduceGraph {
 
   explicit ReduceGraph(const Digraph& g)
       : n(g.vertexCount()), out(n), in(n), alive(n, true) {
-    for (VertexId v = 0; v < g.vertexCount(); ++v) {
-      for (VertexId s : g.successors(v)) {
-        ++edges[{v, s}];
-        out[v].insert(s);
-        in[s].insert(v);
-      }
-    }
+    for (VertexId v = 0; v < g.vertexCount(); ++v)
+      for (VertexId s : g.successors(v)) addEdge(v, s);
+  }
+
+  explicit ReduceGraph(const rsn::FlatNetwork& flat)
+      : n(flat.vertexCount()), out(n), in(n), alive(n, true) {
+    const auto offsets = flat.fwdOffsets();
+    for (VertexId v = 0; v < n; ++v)
+      for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e)
+        addEdge(v, flat.fwdEdges()[e].other);
   }
 
   void removeEdge(VertexId a, VertexId b) {
@@ -101,12 +104,8 @@ std::vector<VertexId> reduceToCore(ReduceGraph& rg, VertexId source,
   return survivors;
 }
 
-}  // namespace
-
-SpCheck checkSeriesParallel(const Digraph& g, VertexId source, VertexId sink) {
-  RRSN_CHECK(graph::isTwoTerminalDag(g, source, sink),
-             "SP check requires a two-terminal DAG");
-  ReduceGraph rg(g);
+/// Reduces `rg` to exhaustion and reports whether it collapsed.
+SpCheck reduce(ReduceGraph rg, VertexId source, VertexId sink) {
   SpCheck result;
   result.stuckVertices = reduceToCore(rg, source, sink);
   result.isSeriesParallel =
@@ -115,6 +114,18 @@ SpCheck checkSeriesParallel(const Digraph& g, VertexId source, VertexId sink) {
   // final collapse to be safe.
   if (result.stuckVertices.empty()) result.isSeriesParallel = true;
   return result;
+}
+
+}  // namespace
+
+SpCheck checkSeriesParallel(const Digraph& g, VertexId source, VertexId sink) {
+  RRSN_CHECK(graph::isTwoTerminalDag(g, source, sink),
+             "SP check requires a two-terminal DAG");
+  return reduce(ReduceGraph(g), source, sink);
+}
+
+SpCheck checkSeriesParallel(const rsn::FlatNetwork& flat) {
+  return reduce(ReduceGraph(flat), flat.scanIn(), flat.scanOut());
 }
 
 Virtualization virtualizeToSp(const Digraph& g, VertexId source,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "rsn/flat.hpp"
 
 namespace rrsn::sp {
 
@@ -29,6 +30,10 @@ struct SpCheck {
 /// sink, by exhaustive series/parallel reduction.
 SpCheck checkSeriesParallel(const graph::Digraph& g, graph::VertexId source,
                             graph::VertexId sink);
+
+/// The same check on an RSN's scan graph between SI and SO, reading the
+/// arena's forward CSR (two-terminal by construction of the lowering).
+SpCheck checkSeriesParallel(const rsn::FlatNetwork& flat);
 
 /// Result of virtualization.
 struct Virtualization {

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "benchgen/registry.hpp"
 #include "fault/effects.hpp"
 #include "fault/fault.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::fault {
@@ -145,20 +146,29 @@ TEST(FaultEffects, DamageOfLossMatchesWeights) {
   EXPECT_EQ(damageUnderFaultTree(tree, f), 18u);
 }
 
-TEST(FaultEffects, TreeAndGraphOraclesAgreeOnFig1) {
-  const rsn::Network net = makeFig1Network();
-  const auto spec = rsn::makeFig1Spec(net);
-  sp::DecompositionTree tree = sp::DecompositionTree::build(net);
-  tree.annotate(spec);
-  const rsn::GraphView gv = rsn::buildGraphView(net);
-  const FaultUniverse universe(net);
-  for (const Fault& f : universe.faults()) {
-    const auto t = lossUnderFaultTree(tree, f);
-    const auto g = lossUnderFaultGraph(net, gv, f);
-    EXPECT_EQ(t.unobservable, g.unobservable) << describe(net, f);
-    EXPECT_EQ(t.unsettable, g.unsettable) << describe(net, f);
-    EXPECT_EQ(damageUnderFaultTree(tree, f), damageOfLoss(spec, t))
-        << describe(net, f);
+// The two independent fault-effect implementations agree on every fault
+// of the paper example and of two generated benchmarks (a deep SoC and
+// a SIB-gated MBIST network).
+TEST(FaultEffects, TreeAndGraphOraclesAgreeOnNamedNetworks) {
+  for (const std::string name : {"fig1", "p34392", "MBIST_1_5_5"}) {
+    const rsn::Network net =
+        name == "fig1" ? makeFig1Network() : benchgen::buildBenchmark(name);
+    Rng rng(7);
+    const auto spec = name == "fig1" ? rsn::makeFig1Spec(net)
+                                     : test::randomSpecFor(net, rng);
+    sp::DecompositionTree tree = sp::DecompositionTree::build(net);
+    tree.annotate(spec);
+    const auto flat = rsn::FlatNetwork::lower(net);
+    const FaultUniverse universe(net);
+    for (const Fault& f : universe.faults()) {
+      const auto t = lossUnderFaultTree(tree, f);
+      const auto g = lossUnderFaultGraph(*flat, f);
+      EXPECT_EQ(t.unobservable, g.unobservable)
+          << name << " " << describe(net, f);
+      EXPECT_EQ(t.unsettable, g.unsettable) << name << " " << describe(net, f);
+      EXPECT_EQ(damageUnderFaultTree(tree, f), damageOfLoss(spec, t))
+          << name << " " << describe(net, f);
+    }
   }
 }
 
@@ -173,11 +183,11 @@ TEST_P(FaultOracleEquivalence, TreeMatchesGraph) {
   const auto spec = test::randomSpecFor(net, rng);
   sp::DecompositionTree tree = sp::DecompositionTree::build(net);
   tree.annotate(spec);
-  const rsn::GraphView gv = rsn::buildGraphView(net);
+  const auto flat = rsn::FlatNetwork::lower(net);
   const FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
     const auto t = lossUnderFaultTree(tree, f);
-    const auto g = lossUnderFaultGraph(net, gv, f);
+    const auto g = lossUnderFaultGraph(*flat, f);
     ASSERT_EQ(t.unobservable, g.unobservable)
         << net.name() << " seed=" << GetParam() << " " << describe(net, f);
     ASSERT_EQ(t.unsettable, g.unsettable)

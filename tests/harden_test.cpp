@@ -6,7 +6,7 @@
 #include "harden/hardening.hpp"
 #include "moo/spea2.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "sim/retarget.hpp"
 #include "test_util.hpp"
 
@@ -223,10 +223,10 @@ TEST(FaultTolerant, ToleratesEverySegmentBreak) {
   // instrument observable and settable (route around the defect).
   const rsn::Network net = makeFig1Network();
   const FaultTolerantRsn ft = augmentFaultTolerant(net);
-  const rsn::GraphView gv = rsn::buildGraphView(ft.network);
+  const auto flat = rsn::FlatNetwork::lower(ft.network);
   for (rsn::SegmentId s = 0; s < ft.network.segments().size(); ++s) {
-    const auto loss = fault::lossUnderFaultGraph(
-        ft.network, gv, fault::Fault::segmentBreak(s));
+    const auto loss =
+        fault::lossUnderFaultGraph(*flat, fault::Fault::segmentBreak(s));
     const rsn::InstrumentId own = ft.network.segment(s).instrument;
     loss.unobservable.forEachSet([&](std::size_t i) {
       EXPECT_EQ(static_cast<rsn::InstrumentId>(i), own)
@@ -244,10 +244,10 @@ TEST(FaultTolerant, ToleratesSegmentBreaksOnRandomNetworks) {
   for (int round = 0; round < 6; ++round) {
     const rsn::Network net = test::randomNetwork(rng);
     const FaultTolerantRsn ft = augmentFaultTolerant(net);
-    const rsn::GraphView gv = rsn::buildGraphView(ft.network);
+    const auto flat = rsn::FlatNetwork::lower(ft.network);
     for (rsn::SegmentId s = 0; s < ft.network.segments().size(); ++s) {
-      const auto loss = fault::lossUnderFaultGraph(
-          ft.network, gv, fault::Fault::segmentBreak(s));
+      const auto loss =
+          fault::lossUnderFaultGraph(*flat, fault::Fault::segmentBreak(s));
       const rsn::InstrumentId own = ft.network.segment(s).instrument;
       const std::size_t expected = own == rsn::kNone ? 0u : 1u;
       ASSERT_LE(loss.unobservable.count(), expected);

@@ -4,7 +4,7 @@
 
 #include "rsn/builder.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "rsn/spec.hpp"
 #include "test_util.hpp"
@@ -107,49 +107,50 @@ TEST(Builder, MuxNeedsTwoBranches) {
   EXPECT_THROW(b.mux("m", {s}), Error);
 }
 
-// ------------------------------------------------------------ graph view
+// ------------------------------------------------------------ scan graph
 
-TEST(GraphView, Fig1GraphIsTwoTerminalDag) {
+TEST(FlatGraph, Fig1GraphIsTwoTerminalDag) {
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
   // SI + SO + 7 segments + 4 muxes + 4 fan-outs = 17 vertices.
-  EXPECT_EQ(gv.graph.vertexCount(), 17u);
-  EXPECT_TRUE(
-      graph::isTwoTerminalDag(gv.graph, gv.scanIn, gv.scanOut));
+  EXPECT_EQ(flat->vertexCount(), 17u);
+  EXPECT_TRUE(graph::isTwoTerminalDag(test::digraphOf(*flat), flat->scanIn(),
+                                      flat->scanOut()));
 }
 
-TEST(GraphView, PaperFactM0DominatesC2) {
+TEST(FlatGraph, PaperFactM0DominatesC2) {
   // Sec. III: "Since all the paths through the segment c2 traverse the
   // multiplexer m0, then m0 dominates c2" — on the reversed graph (data
   // flows toward scan-out), i.e. m0 post-dominates c2.
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
   graph::Digraph rev;
-  for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v)
-    rev.addVertex(gv.graph.label(v));
-  for (graph::VertexId v = 0; v < gv.graph.vertexCount(); ++v)
-    for (graph::VertexId s : gv.graph.successors(v)) rev.addEdge(s, v);
-  const auto ipdom = graph::immediateDominators(rev, gv.scanOut);
-  const auto c2 = gv.segmentVertex[net.findSegment("c2")];
-  const auto m0 = gv.muxVertex[net.findMux("m0")];
-  const auto m1 = gv.muxVertex[net.findMux("m1")];
-  const auto m2 = gv.muxVertex[net.findMux("m2")];
+  for (graph::VertexId v = 0; v < flat->vertexCount(); ++v) rev.addVertex();
+  for (graph::VertexId v = 0; v < flat->vertexCount(); ++v)
+    for (auto e = flat->bwdOffsets()[v]; e < flat->bwdOffsets()[v + 1]; ++e)
+      rev.addEdge(v, flat->bwdEdges()[e].other);
+  const auto ipdom = graph::immediateDominators(rev, flat->scanOut());
+  const auto c2 = flat->segmentVertex()[net.findSegment("c2")];
+  const auto m0 = flat->muxVertex()[net.findMux("m0")];
+  const auto m1 = flat->muxVertex()[net.findMux("m1")];
+  const auto m2 = flat->muxVertex()[net.findMux("m2")];
   EXPECT_TRUE(graph::dominates(ipdom, m0, c2));
   // "The multiplexer m2 dominates m1":
   EXPECT_TRUE(graph::dominates(ipdom, m2, m1));
 }
 
-TEST(GraphView, MuxBranchExitsRecorded) {
+TEST(FlatGraph, MuxBranchExitsRecorded) {
   const Network net = makeFig1Network();
-  const GraphView gv = buildGraphView(net);
+  const auto flat = FlatNetwork::lower(net);
   const MuxId m0 = net.findMux("m0");
-  ASSERT_EQ(gv.muxBranchExit[m0].size(), 2u);
+  ASSERT_EQ(flat->muxArity()[m0], 2u);
+  const auto exits = flat->muxBranchExit().data() + flat->muxBranchOffsets()[m0];
   // Branch 0 exits at c2, branch 1 (bypass wire) at the fan-out.
-  EXPECT_EQ(gv.muxBranchExit[m0][0], gv.segmentVertex[net.findSegment("c2")]);
-  EXPECT_EQ(gv.muxBranchExit[m0][1], gv.fanoutVertex[m0]);
+  EXPECT_EQ(exits[0], flat->segmentVertex()[net.findSegment("c2")]);
+  EXPECT_EQ(exits[1], flat->fanoutVertex(m0));
 }
 
-TEST(GraphView, DotContainsShapes) {
+TEST(FlatGraph, DotContainsShapes) {
   const Network net = makeTinyNetwork();
   const std::string dot = toDot(net);
   EXPECT_NE(dot.find("shape=box"), std::string::npos);

@@ -116,6 +116,22 @@ TEST(Simulator, StuckMuxIgnoresAddress) {
 
 // ------------------------------------------------------------ retargeting
 
+// An out-of-range stuck branch names hardware that does not exist; it
+// must be rejected on injection, not index a neighbouring mux's branches.
+TEST(Simulator, OutOfRangeStuckBranchIsRejected) {
+  const rsn::Network net = makeFig1Network();
+  const rsn::MuxId m0 = net.findMux("m0");
+  ScanSimulator sim(net);
+  EXPECT_THROW(sim.injectFault(Fault::muxStuck(m0, 2)), Error);
+  EXPECT_THROW(sim.injectFaults({Fault::muxStuck(m0, 70000000)}), Error);
+  EXPECT_THROW(sim.addFault(Fault::muxStuck(m0, 7)), Error);
+  EXPECT_THROW(sim.injectFault(Fault::muxStuck(
+                   static_cast<rsn::MuxId>(net.muxes().size()), 0)),
+               Error);
+  EXPECT_TRUE(sim.injectedFaults().empty());
+  EXPECT_NO_THROW(sim.injectFault(Fault::muxStuck(m0, 1)));
+}
+
 TEST(Retarget, OpensSibToReadInstrument) {
   const rsn::Network net = makeFig1Network();
   ScanSimulator sim(net);

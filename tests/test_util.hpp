@@ -5,7 +5,9 @@
 
 #include <string>
 
+#include "graph/digraph.hpp"
 #include "rsn/builder.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
 #include "support/rng.hpp"
@@ -65,6 +67,18 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
   while (segCounter < opt.targetSegments) top.push_back(unit(unit, 0));
   b.setTop(b.chain(std::move(top)));
   return b.build();
+}
+
+/// The arena's scan graph copied into a generic Digraph (vertex ids and
+/// per-vertex edge order kept), for the general-graph algorithms:
+/// dominators, two-terminal checks, SP virtualization.
+inline graph::Digraph digraphOf(const rsn::FlatNetwork& flat) {
+  graph::Digraph g;
+  for (std::size_t v = 0; v < flat.vertexCount(); ++v) g.addVertex();
+  for (graph::VertexId v = 0; v < flat.vertexCount(); ++v)
+    for (auto e = flat.fwdOffsets()[v]; e < flat.fwdOffsets()[v + 1]; ++e)
+      g.addEdge(v, flat.fwdEdges()[e].other);
+  return g;
 }
 
 /// Random spec with the paper's 70/70/10/10 recipe.

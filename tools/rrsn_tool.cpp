@@ -84,7 +84,7 @@
 #include "moo/spea2.hpp"
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
-#include "rsn/graph_view.hpp"
+#include "rsn/flat.hpp"
 #include "rsn/netlist_io.hpp"
 #include "sim/retarget.hpp"
 #include "sp/decomposition.hpp"
@@ -252,7 +252,8 @@ rsn::CriticalitySpec loadSpec(const Options& opt, const rsn::Network& net) {
   return rsn::randomSpec(net, {}, rng);
 }
 
-fault::Fault parseFault(const rsn::Network& net, const std::string& text) {
+fault::Fault parseFault(const rsn::Network& net, const rsn::FlatNetwork& flat,
+                        const std::string& text) {
   const auto parts = split(text, ':');
   if (parts.size() == 2 && parts[0] == "break") {
     const rsn::SegmentId seg = net.findSegment(parts[1]);
@@ -262,8 +263,13 @@ fault::Fault parseFault(const rsn::Network& net, const std::string& text) {
   if (parts.size() == 3 && parts[0] == "stuck") {
     const rsn::MuxId mux = net.findMux(parts[1]);
     RRSN_CHECK(mux != rsn::kNone, "unknown mux '" + parts[1] + "'");
+    const std::uint32_t arity = flat.muxArity()[mux];
     return fault::Fault::muxStuck(
-        mux, static_cast<std::uint32_t>(parseUnsigned(parts[2], "branch")));
+        mux, static_cast<std::uint32_t>(parseUintBounded(
+                 parts[2],
+                 "stuck branch of mux '" + parts[1] + "' (arity " +
+                     std::to_string(arity) + ")",
+                 0, arity - 1)));
   }
   throw ParseError("--fault expects break:<segment> or stuck:<mux>:<branch>");
 }
@@ -277,8 +283,7 @@ int cmdInfo(const Options& opt) {
             << "instruments:   " << s.instruments << '\n'
             << "scan cells:    " << s.scanCells << '\n'
             << "mux nesting:   " << s.maxMuxNesting << '\n';
-  const rsn::GraphView gv = rsn::buildGraphView(net);
-  const auto check = sp::checkSeriesParallel(gv.graph, gv.scanIn, gv.scanOut);
+  const auto check = sp::checkSeriesParallel(*rsn::FlatNetwork::lower(net));
   std::cout << "series-parallel: " << (check.isSeriesParallel ? "yes" : "no")
             << '\n';
   const auto tree = sp::DecompositionTree::build(net);
@@ -359,9 +364,11 @@ int cmdAccess(const Options& opt) {
   const rsn::InstrumentId inst = net.findInstrument(opt.positional[1]);
   RRSN_CHECK(inst != rsn::kNone,
              "unknown instrument '" + opt.positional[1] + "'");
+  const auto flat = rsn::FlatNetwork::lower(net);
   sim::ScanSimulator simulator(net);
-  if (opt.faultText) simulator.injectFault(parseFault(net, *opt.faultText));
-  sim::Retargeter rt(simulator);
+  if (opt.faultText)
+    simulator.injectFault(parseFault(net, *flat, *opt.faultText));
+  sim::Retargeter rt(simulator, flat);
   simulator.setInstrumentValue(
       inst, sim::accessMarker(net.segment(net.instrument(inst).segment).length));
   const auto res = rt.readInstrument(inst);
@@ -379,7 +386,8 @@ int cmdAccess(const Options& opt) {
 int cmdDiagnose(const Options& opt) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
   RRSN_CHECK(opt.faultText.has_value(), "diagnose requires --fault");
-  const fault::Fault f = parseFault(net, *opt.faultText);
+  const fault::Fault f =
+      parseFault(net, *rsn::FlatNetwork::lower(net), *opt.faultText);
   const auto dict = diag::FaultDictionary::build(net);
   const auto observed = diag::FaultDictionary::measure(net, &f);
   const auto d = dict.diagnose(observed);
@@ -588,13 +596,14 @@ DynamicBitset loadExclusions(const rsn::Network& net,
 
 int cmdCertify(const Options& opt) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
-  if (!opt.noLint) lint::enforceClean(net, "certification");
+  const auto flat = rsn::FlatNetwork::lower(net);
+  if (!opt.noLint) lint::enforceClean(net, *flat, "certification");
 
   verify::CertifyOptions options;
   if (opt.planIn) options.excludePrimitives = loadExclusions(net, *opt.planIn);
   options.crossCheck = verify::crossCheckDefault();
 
-  const verify::Certifier certifier(net);
+  const verify::Certifier certifier(flat);
   const verify::CertificationResult result = certifier.run(options);
   const verify::CertifySummary s = result.summary();
 
