@@ -30,6 +30,15 @@ struct RunResult {
   RunStats stats;
 };
 
+namespace detail {
+
+/// SPEA-2 fitness F = R + D of every member of the combined population
+/// P+A, given by its objective vectors; O(m log m) in m = objs.size().
+/// Deterministic and independent of the thread count.
+std::vector<double> spea2Fitness(const std::vector<Objectives>& objs);
+
+}  // namespace detail
+
 /// Runs SPEA-2 on a linear bi-objective problem.
 RunResult runSpea2(const LinearBiProblem& problem,
                    const EvolutionOptions& options,

@@ -22,8 +22,11 @@ std::string withThousands(std::uint64_t n) {
 }
 
 std::string withThousands(std::int64_t n) {
-  if (n < 0) return "-" + withThousands(static_cast<std::uint64_t>(-n));
-  return withThousands(static_cast<std::uint64_t>(n));
+  if (n >= 0) return withThousands(static_cast<std::uint64_t>(n));
+  // The magnitude in unsigned arithmetic: -n overflows for INT64_MIN.
+  std::string out = withThousands(0 - static_cast<std::uint64_t>(n));
+  out.insert(out.begin(), '-');
+  return out;
 }
 
 std::string formatMinSec(double seconds) {

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "benchgen/registry.hpp"
+#include "crit/analyzer.hpp"
+#include "harden/hardening.hpp"
 #include "moo/baselines.hpp"
 #include "moo/nsga2.hpp"
 #include "moo/spea2.hpp"
+#include "rsn/spec.hpp"
+#include "support/hash.hpp"
 
 namespace rrsn::moo {
 namespace {
@@ -343,6 +352,198 @@ TEST(Spea2, StatsCountEvaluations) {
   const RunResult res = runSpea2(p, opt);
   EXPECT_EQ(res.stats.generations, 10u);
   EXPECT_EQ(res.stats.evaluations, 40u + 10u * 40u);
+}
+
+// ------------------------------------------------- SPEA-2 fitness kernel
+
+/// The all-pairs SPEA-2 fitness (TR-103): strength and raw fitness by
+/// pairwise dominance, density from nth_element over every distance in
+/// normalized objective space.  The O(m log m) production kernel must
+/// reproduce it bit for bit.
+std::vector<double> allPairsFitness(const std::vector<Objectives>& objs) {
+  const std::size_t m = objs.size();
+  std::vector<std::uint32_t> strength(m, 0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      if (i != j && dominates(objs[i], objs[j])) ++strength[i];
+  std::vector<double> raw(m, 0.0);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < m; ++j)
+      if (i != j && dominates(objs[j], objs[i])) raw[i] += strength[j];
+
+  std::uint64_t minC = UINT64_MAX, maxC = 0, minD = UINT64_MAX, maxD = 0;
+  for (const Objectives& o : objs) {
+    minC = std::min(minC, o.cost);
+    maxC = std::max(maxC, o.cost);
+    minD = std::min(minD, o.damage);
+    maxD = std::max(maxD, o.damage);
+  }
+  const double spanC = maxC > minC ? static_cast<double>(maxC - minC) : 1.0;
+  const double spanD = maxD > minD ? static_cast<double>(maxD - minD) : 1.0;
+  std::vector<std::pair<double, double>> pts;
+  for (const Objectives& o : objs)
+    pts.emplace_back(static_cast<double>(o.cost - minC) / spanC,
+                     static_cast<double>(o.damage - minD) / spanD);
+  const auto k = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::sqrt(static_cast<double>(m))));
+  std::vector<double> fitness(m);
+  std::vector<double> dist;
+  for (std::size_t i = 0; i < m; ++i) {
+    dist.clear();
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j == i) continue;
+      const double dx = pts[i].first - pts[j].first;
+      const double dy = pts[i].second - pts[j].second;
+      dist.push_back(dx * dx + dy * dy);
+    }
+    double sigma = 0.0;
+    if (!dist.empty()) {
+      const std::size_t kk = std::min(k, dist.size()) - 1;
+      std::nth_element(dist.begin(),
+                       dist.begin() + static_cast<std::ptrdiff_t>(kk),
+                       dist.end());
+      sigma = std::sqrt(dist[kk]);
+    }
+    fitness[i] = raw[i] + 1.0 / (sigma + 2.0);
+  }
+  return fitness;
+}
+
+void expectFitnessMatchesOracle(const std::vector<Objectives>& objs,
+                                const std::string& what) {
+  const std::vector<double> want = allPairsFitness(objs);
+  const std::vector<double> got = detail::spea2Fitness(objs);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+        << what << " m=" << objs.size() << " i=" << i << " got=" << got[i]
+        << " want=" << want[i];
+  }
+}
+
+/// m points with cost in [0, costRange) and damage in [0, damageRange),
+/// each scaled by `scale` (so the normalization divides by a non-power
+/// of two).
+std::vector<Objectives> randomObjectives(Rng& rng, std::size_t m,
+                                         std::uint64_t costRange,
+                                         std::uint64_t damageRange,
+                                         std::uint64_t scale = 1) {
+  std::vector<Objectives> objs;
+  for (std::size_t i = 0; i < m; ++i)
+    objs.push_back({rng.below(costRange) * scale,
+                    rng.below(damageRange) * scale});
+  return objs;
+}
+
+TEST(Spea2Fitness, EmptyPopulation) {
+  EXPECT_TRUE(detail::spea2Fitness({}).empty());
+}
+
+TEST(Spea2Fitness, TinyPopulationsAndKClampedByM) {
+  // m = 1 has no neighbor (k = 1 > m - 1 = 0); m = 2, 3 have k = m - 1
+  // or fewer neighbors in every order and tie pattern.
+  expectFitnessMatchesOracle({{5, 7}}, "single");
+  expectFitnessMatchesOracle({{1, 2}, {2, 1}}, "trade-off pair");
+  expectFitnessMatchesOracle({{1, 1}, {2, 2}}, "dominated pair");
+  expectFitnessMatchesOracle({{3, 3}, {3, 3}}, "equal pair");
+  expectFitnessMatchesOracle({{1, 5}, {1, 2}}, "same-cost pair");
+  expectFitnessMatchesOracle({{4, 2}, {1, 2}}, "same-damage pair");
+  expectFitnessMatchesOracle({{1, 1}, {1, 1}, {2, 0}}, "triple with twins");
+  expectFitnessMatchesOracle({{0, 9}, {9, 0}, {4, 4}}, "triple front");
+  expectFitnessMatchesOracle({{2, 2}, {1, 3}, {2, 2}}, "triple mixed");
+  Rng rng(15);
+  for (std::size_t m = 1; m <= 12; ++m)
+    for (int round = 0; round < 40; ++round)
+      expectFitnessMatchesOracle(randomObjectives(rng, m, 3, 3), "tiny");
+}
+
+TEST(Spea2Fitness, AllPointsEqual) {
+  for (const std::size_t m : {1u, 2u, 5u, 16u, 17u, 100u})
+    expectFitnessMatchesOracle(std::vector<Objectives>(m, {42, 7}),
+                               "all equal");
+}
+
+TEST(Spea2Fitness, SingleCostOrSingleDamage) {
+  Rng rng(16);
+  for (const std::size_t m : {2u, 9u, 50u, 301u}) {
+    std::vector<Objectives> sameCost = randomObjectives(rng, m, 1, 40);
+    expectFitnessMatchesOracle(sameCost, "same cost");
+    std::vector<Objectives> sameDamage = randomObjectives(rng, m, 40, 1);
+    expectFitnessMatchesOracle(sameDamage, "same damage");
+  }
+}
+
+TEST(Spea2Fitness, HeavyDuplicatesAndTies) {
+  Rng rng(17);
+  for (const std::size_t m : {4u, 25u, 64u, 200u, 450u, 700u}) {
+    expectFitnessMatchesOracle(randomObjectives(rng, m, 2, 2), "2x2 grid");
+    expectFitnessMatchesOracle(randomObjectives(rng, m, 4, 30), "4 costs");
+    expectFitnessMatchesOracle(randomObjectives(rng, m, 30, 4), "4 damages");
+    expectFitnessMatchesOracle(randomObjectives(rng, m, 12, 12, 7919),
+                               "scaled grid");
+  }
+}
+
+TEST(Spea2Fitness, RandomPopulationsUpTo700) {
+  Rng rng(18);
+  for (const std::size_t m : {100u, 300u, 599u, 600u, 700u}) {
+    expectFitnessMatchesOracle(randomObjectives(rng, m, 1u << 20, 1u << 20),
+                               "sparse");
+    expectFitnessMatchesOracle(
+        randomObjectives(rng, m, 1000, 1000, 1'000'003), "wide");
+    // A front-shaped set: damage falls as cost rises, plus dominated
+    // copies shifted up, as in a converged P+A.
+    std::vector<Objectives> front;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint64_t c = rng.below(5000);
+      const std::uint64_t d = 5000 - c + (i % 3 == 0 ? rng.below(50) : 0);
+      front.push_back({c, d});
+    }
+    expectFitnessMatchesOracle(front, "front");
+  }
+}
+
+/// Archive digest of a fixed-seed SPEA-2 run on a Table-I design, set up
+/// as the benchmark's harden flow does it: random 70/70/10/10 spec,
+/// greedy-prefix seed genomes (a quarter of the population), 40
+/// generations.
+std::uint64_t goldenFrontDigest(const std::string& name,
+                                std::size_t population) {
+  const rsn::Network net = benchgen::buildBenchmark(name);
+  Rng rng(2022);
+  const rsn::CriticalitySpec spec = rsn::randomSpec(net, {}, rng);
+  const auto analysis = crit::CriticalityAnalyzer(net, spec).run();
+  const auto problem = harden::HardeningProblem::assemble(net, analysis);
+  EvolutionOptions opt;
+  opt.populationSize = population;
+  opt.generations = 40;
+  opt.seed = 15;
+  const RunResult greedy = greedyFront(problem.linear, population / 4);
+  const auto& members = greedy.archive.members();
+  const std::size_t want =
+      std::min<std::size_t>(members.size(), population / 4);
+  for (std::size_t k = 0; k < want; ++k) {
+    const std::size_t idx =
+        k * (members.size() - 1) / std::max<std::size_t>(1, want - 1);
+    opt.seedGenomes.push_back(members[idx].genome);
+  }
+  const RunResult run = runSpea2(problem.linear, opt);
+  std::uint64_t h = hash::kFnvOffset;
+  hash::fnvMix(h, static_cast<std::uint64_t>(run.archive.size()));
+  for (const Individual& ind : run.archive.members()) {
+    hash::fnvMix(h, ind.obj.cost);
+    hash::fnvMix(h, ind.obj.damage);
+    for (const std::uint32_t bit : ind.genome.indices()) hash::fnvMix(h, bit);
+    hash::fnvMix(h, ~std::uint64_t{0});
+  }
+  return h;
+}
+
+TEST(Spea2, GoldenFrontPins) {
+  // Digests recorded with the all-pairs fitness kernel; any change to
+  // fitness bits, selection or variation order shows up here.
+  EXPECT_EQ(goldenFrontDigest("q12710", 100), 0x0260ab9192fec696ULL);
+  EXPECT_EQ(goldenFrontDigest("p93791", 300), 0x855d03a9785a3da5ULL);
 }
 
 // --------------------------------------------------------------- NSGA-II

@@ -13,6 +13,7 @@
 #include "diag/diagnosis.hpp"
 #include "harden/hardening.hpp"
 #include "moo/spea2.hpp"
+#include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
 #include "rsn/spec.hpp"
 #include "support/parallel.hpp"
@@ -249,6 +250,38 @@ TEST(ParallelDeterminism, Spea2ArchiveMatchesAcrossThreadCounts) {
     ASSERT_TRUE(serial.archive.members()[i] == pooled.archive.members()[i])
         << "archive member " << i;
   EXPECT_EQ(serial.stats.evaluations, pooled.stats.evaluations);
+}
+
+TEST(ParallelDeterminism, Spea2KnnCandidatesMatchAcrossThreadCounts) {
+  // The density walk's visit count is a deterministic work counter: a
+  // function of the populations only, never of the pool width.
+  const rsn::Network net = benchgen::buildBenchmark("MBIST_1_5_5");
+  Rng rng(11);
+  const rsn::CriticalitySpec spec = rsn::randomSpec(net, {}, rng);
+  const auto analysis = crit::CriticalityAnalyzer(net, spec).run();
+  const auto problem = harden::HardeningProblem::assemble(net, analysis);
+  moo::EvolutionOptions options;
+  options.populationSize = 40;
+  options.generations = 25;
+  options.seed = 2022;
+  const auto candidates = [](const obs::Snapshot& snap) {
+    std::uint64_t n = 0;
+    for (const auto& [id, v] : snap.counters)
+      if (snap.names[id] == "moo.spea2.knn_candidates") n += v;
+    return n;
+  };
+  const auto run = [&] {
+    obs::enable();
+    const std::uint64_t before = candidates(obs::snapshot());
+    (void)moo::runSpea2(problem.linear, options);
+    const std::uint64_t after = candidates(obs::snapshot());
+    obs::disable();
+    return after - before;
+  };
+  const std::uint64_t serial = withThreads(1, run);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(withThreads(2, run), serial);
+  EXPECT_EQ(withThreads(4, run), serial);
 }
 
 }  // namespace

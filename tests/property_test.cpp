@@ -27,7 +27,7 @@ namespace {
 /// v > 0 receives at least one edge from a smaller vertex.
 graph::Digraph randomDag(Rng& rng, std::size_t n, double extraEdgeProb) {
   graph::Digraph g;
-  for (std::size_t v = 0; v < n; ++v) g.addVertex("v" + std::to_string(v));
+  for (std::size_t v = 0; v < n; ++v) g.addVertex(test::indexedName("v", v));
   for (graph::VertexId v = 1; v < n; ++v) {
     const auto p = static_cast<graph::VertexId>(rng.below(v));
     g.addEdge(p, v);

@@ -243,7 +243,7 @@ TEST(Spec, RobustEndsPlacementUsesScanEnds) {
   std::vector<NodeId> parts;
   for (int i = 0; i < 60; ++i)
     parts.push_back(
-        b.segment("s" + std::to_string(i), 1, "i" + std::to_string(i)));
+        b.segment(test::indexedName("s", i), 1, test::indexedName("i", i)));
   b.setTop(b.chain(std::move(parts)));
   const Network net = b.build();
 

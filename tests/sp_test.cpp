@@ -59,7 +59,7 @@ TEST(Decomposition, BalancedSeriesDepthIsLogarithmic) {
   rsn::NetworkBuilder b("chain");
   std::vector<rsn::NodeId> parts;
   for (int i = 0; i < 4096; ++i)
-    parts.push_back(b.segment("s" + std::to_string(i), 1));
+    parts.push_back(b.segment(test::indexedName("s", i), 1));
   b.setTop(b.chain(std::move(parts)));
   const rsn::Network net = b.build();
   const DecompositionTree tree = DecompositionTree::build(net);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "support/bitset.hpp"
@@ -248,6 +249,17 @@ TEST(Table, WithThousands) {
   EXPECT_EQ(withThousands(std::uint64_t{1000}), "1,000");
   EXPECT_EQ(withThousands(std::uint64_t{1234567}), "1,234,567");
   EXPECT_EQ(withThousands(std::int64_t{-1234}), "-1,234");
+}
+
+TEST(Table, WithThousandsSignedExtremes) {
+  // INT64_MIN has no positive counterpart: negating it is signed
+  // overflow, so the magnitude must be taken in unsigned arithmetic.
+  EXPECT_EQ(withThousands(std::numeric_limits<std::int64_t>::min()),
+            "-9,223,372,036,854,775,808");
+  EXPECT_EQ(withThousands(std::numeric_limits<std::int64_t>::max()),
+            "9,223,372,036,854,775,807");
+  EXPECT_EQ(withThousands(std::int64_t{-1}), "-1");
+  EXPECT_EQ(withThousands(std::int64_t{0}), "0");
 }
 
 TEST(Table, FormatMinSec) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "graph/digraph.hpp"
 #include "rsn/builder.hpp"
@@ -13,6 +14,16 @@
 #include "support/rng.hpp"
 
 namespace rrsn::test {
+
+/// `prefix` followed by the decimal `i`.  Built by appending: GCC 12
+/// reports a false -Wrestrict on `"literal" + std::to_string(i)` in
+/// optimized builds.
+template <typename Int>
+std::string indexedName(std::string_view prefix, Int i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
 
 /// Parameters of the random network generator.
 struct RandomNetOptions {
@@ -51,7 +62,7 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
     const rsn::NodeId content =
         parts.size() == 1 ? parts[0] : b.chain(std::move(parts));
     if (rng.chance(opt.sibProbability)) {
-      return b.sib("sib" + std::to_string(muxCounter++), content);
+      return b.sib(indexedName("sib", muxCounter++), content);
     }
     std::vector<rsn::NodeId> branches{content};
     const auto extra = static_cast<std::size_t>(
@@ -59,7 +70,7 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
     for (std::size_t k = 0; k < extra; ++k) {
       branches.push_back(rng.chance(0.5) ? b.wire() : makeSegment(true));
     }
-    return b.mux("m" + std::to_string(muxCounter++), std::move(branches));
+    return b.mux(indexedName("m", muxCounter++), std::move(branches));
   };
 
   std::vector<rsn::NodeId> top;
