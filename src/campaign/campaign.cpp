@@ -90,7 +90,7 @@ std::string describe(const rsn::Network& net, const FaultScenario& s) {
 namespace {
 
 /// One end-to-end access on a freshly reset scenario-injected simulator.
-/// The simulator and engine are shared across the scenario's probes (the
+/// The simulator and engine are shared across a block's probes (the
 /// reset between probes restores power-up state exactly, and the
 /// engine's path tables depend only on the topology); any engine-level
 /// failure (no valid path, rounds exhausted, marker poisoned) is the
@@ -358,6 +358,7 @@ Status validateCampaignConfig(const CampaignConfig& config) {
 CampaignEngine::CampaignEngine(const rsn::Network& net, CampaignConfig config)
     : net_(&net),
       config_(std::move(config)),
+      retarget_(config_.retarget.resolvedFor(net)),
       flat_(rsn::FlatNetwork::lower(net)) {
   const Status valid = validateCampaignConfig(config_);
   if (!valid.ok()) throw ValidationError("campaign config: " + valid.message());
@@ -593,9 +594,8 @@ struct CampaignEngine::OracleCache {
   Expectation faultFree;
 };
 
-FaultRecord CampaignEngine::probeScenario(
-    const OracleCache& oracles, const FaultScenario& s,
-    std::atomic<std::uint64_t>& probes) const {
+FaultRecord CampaignEngine::prepareRecord(const OracleCache& oracles,
+                                          const FaultScenario& s) const {
   FaultRecord rec;
   rec.scenario = s;
   const std::size_t n = net_->instruments().size();
@@ -651,9 +651,16 @@ FaultRecord CampaignEngine::probeScenario(
   }
   rec.read.assign(n, 'L');
   rec.write.assign(n, 'L');
+  return rec;
+}
+
+std::uint64_t CampaignEngine::probeBlock(const FaultScenario& s,
+                                         std::size_t begin, std::size_t end,
+                                         FaultRecord& rec) const {
+  std::uint64_t probes = 0;
   sim::ScanSimulator sim(*net_);
-  sim::Retargeter engine(sim, flat_, config_.retarget);
-  for (std::size_t i = 0; i < n; ++i) {
+  sim::Retargeter engine(sim, flat_, retarget_);
+  for (std::size_t i = begin; i < end; ++i) {
     const auto inst = static_cast<rsn::InstrumentId>(i);
     rec.read[i] = toChar(probeAccess(sim, engine, s, inst, /*isRead=*/true));
     rec.write[i] = toChar(probeAccess(sim, engine, s, inst, /*isRead=*/false));
@@ -664,7 +671,7 @@ FaultRecord CampaignEngine::probeScenario(
     // across probes would show up here, not as an oracle "interaction".
     if (s.kind == CampaignMode::Pairs) {
       sim::ScanSimulator ref(*net_);
-      sim::Retargeter refEngine(ref, flat_, config_.retarget);
+      sim::Retargeter refEngine(ref, flat_, retarget_);
       const char refRead =
           toChar(probeAccess(ref, refEngine, s, inst, /*isRead=*/true));
       const char refWrite =
@@ -676,10 +683,9 @@ FaultRecord CampaignEngine::probeScenario(
                      net_->instrument(inst).name);
     }
 #endif
-    probes.fetch_add(2, std::memory_order_relaxed);
+    probes += 2;
   }
-  rec.done = true;
-  return rec;
+  return probes;
 }
 
 CampaignResult CampaignEngine::run() {
@@ -811,8 +817,17 @@ CampaignResult CampaignEngine::run() {
   // must classify every instrument.  Checked after the sweep; a
   // mismatch is an engine bug (skipped or double-issued probes), not a
   // user error.
-  std::atomic<std::uint64_t> probes{0};
+  std::uint64_t probes = 0;
   std::size_t faultsProbed = 0;
+
+  // Work items are (scenario, instrument block) pairs on a block grid
+  // fixed by the instrument count alone, so one scenario whose accesses
+  // all need the reroute search spreads over the pool instead of
+  // serializing the batch.  Each block runs on its own simulator and
+  // retargeter and writes only its instruments' outcome slots.
+  const std::size_t n = result.instruments;
+  const std::size_t blocks =
+      std::max<std::size_t>((n + kInstrumentBlock - 1) / kInstrumentBlock, 1);
 
   static const obs::MetricId kProbes = obs::counter("campaign.probes");
   static const obs::MetricId kFaults = obs::counter("campaign.faults_probed");
@@ -822,28 +837,50 @@ CampaignResult CampaignEngine::run() {
   for (std::size_t at = 0; at < pending.size(); at += batchSize) {
     if (tripped()) break;
     const std::size_t end = std::min(at + batchSize, pending.size());
+    std::vector<FaultRecord> staged(end - at);
+    for (std::size_t j = at; j < end; ++j)
+      staged[j - at] = prepareRecord(oracles, universe_[pending[j]]);
+    // Probes issued per work item; kNotRun marks an item cancellation
+    // skipped.
+    constexpr std::uint64_t kNotRun = ~std::uint64_t{0};
+    std::vector<std::uint64_t> issued(staged.size() * blocks, kNotRun);
     {
       RRSN_OBS_SPAN("campaign.batch");
-      // Each scenario is a whole simulator run, so even a handful of
+      // Each item is a run of simulator accesses, so even a handful of
       // them is worth fanning out: grain 1, as in Certifier::run.
       parallelForCancellable(
-          end - at, cancel,
-          [&](std::size_t j) {
+          issued.size(), cancel,
+          [&](std::size_t w) {
             if (hasDeadline && config_.cancel != nullptr &&
                 config_.cancel->cancelled()) {
               deadlineToken.cancel();
               return;
             }
-            const std::size_t k = pending[at + j];
-            result.records[k] = probeScenario(oracles, universe_[k], probes);
+            const std::size_t j = w / blocks;
+            const std::size_t first = (w % blocks) * kInstrumentBlock;
+            issued[w] = probeBlock(universe_[pending[at + j]], first,
+                                   std::min(first + kInstrumentBlock, n),
+                                   staged[j]);
           },
           /*grain=*/1);
     }
-    // Under cancellation some records of the batch may not have run;
-    // count what actually finished and persist exactly that.
+    // Under cancellation some blocks may not have run.  A scenario is
+    // done, counted and persisted only when all of its blocks ran; a
+    // partially probed one stays pending and is probed afresh later.
     std::size_t finished = 0;
-    for (std::size_t j = at; j < end; ++j)
-      if (result.records[pending[j]].done) finished += 1;
+    for (std::size_t j = 0; j < staged.size(); ++j) {
+      std::uint64_t scenarioProbes = 0;
+      bool complete = true;
+      for (std::size_t b = 0; b < blocks && complete; ++b) {
+        complete = issued[j * blocks + b] != kNotRun;
+        scenarioProbes += issued[j * blocks + b];
+      }
+      if (!complete) continue;
+      probes += scenarioProbes;
+      staged[j].done = true;
+      result.records[pending[at + j]] = std::move(staged[j]);
+      finished += 1;
+    }
     done += finished;
     faultsProbed += finished;
     if (!config_.checkpointPath.empty()) {
@@ -857,16 +894,16 @@ CampaignResult CampaignEngine::run() {
     }
     if (config_.progress) config_.progress(done, result.records.size());
   }
-  obs::count(kProbes, probes.load(std::memory_order_relaxed));
+  obs::count(kProbes, probes);
   obs::count(kFaults, faultsProbed);
 
   const std::uint64_t expectProbes =
       2 * static_cast<std::uint64_t>(result.instruments) *
       static_cast<std::uint64_t>(faultsProbed);
-  if (probes.load(std::memory_order_relaxed) != expectProbes) {
+  if (probes != expectProbes) {
     obs::raiseIfError(Status::internal(
         "campaign probe accounting mismatch: issued " +
-        std::to_string(probes.load(std::memory_order_relaxed)) +
+        std::to_string(probes) +
         " probes for " + std::to_string(faultsProbed) + " faults x " +
         std::to_string(result.instruments) + " instruments (expected " +
         std::to_string(expectProbes) + ")"));

@@ -53,17 +53,19 @@
 //    zero); in Pairs mode disagreements are the interaction effects
 //    described above and live in their own counters.
 //
-// Campaigns fan out per scenario over the PR-1 thread pool and are
-// deterministic at any thread count: every scenario's record depends
-// only on the scenario, and sampling happens once, single-threaded, at
-// engine construction.  Long runs honor a cooperative CancellationToken
+// Campaigns fan out over (scenario, instrument block) work items on the
+// thread pool and are deterministic at any thread count: every
+// instrument's outcome depends only on the scenario and the instrument
+// (each access starts from power-on), the block grid depends only on the
+// instrument count, and sampling happens once, single-threaded, at
+// engine construction.  A scenario counts as finished only when all of
+// its blocks ran.  Long runs honor a cooperative CancellationToken
 // (external, or an engine-owned deadline via CampaignConfig::deadlineMs)
 // and checkpoint finished scenarios to a versioned JSON state file, so
 // an interrupted campaign resumes where it stopped and ends in the same
 // final report as an uninterrupted one.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -345,17 +347,28 @@ class CampaignEngine {
   void buildPairUniverse();
   void buildTransientUniverse();
 
-  /// Probes one scenario against every instrument.  `probes` counts
-  /// every classification issued (two per instrument; a transient
-  /// recovery retry does not count extra); run() cross-checks the total
-  /// against the classification count after the sweep — a mismatch
-  /// means probes were silently skipped or double-issued.
-  FaultRecord probeScenario(const OracleCache& oracles,
-                            const FaultScenario& s,
-                            std::atomic<std::uint64_t>& probes) const;
+  /// Instruments per campaign work item (the fan-out grid).
+  static constexpr std::size_t kInstrumentBlock = 32;
+
+  /// A scenario's record with its oracle verdicts filled in and every
+  /// outcome still 'L'; the blocks probe into it.
+  FaultRecord prepareRecord(const OracleCache& oracles,
+                            const FaultScenario& s) const;
+
+  /// Probes instruments [begin, end) of one scenario on a fresh
+  /// simulator, writing their outcomes into `rec`, and returns the
+  /// classifications issued (two per instrument; a transient recovery
+  /// retry does not count extra).  run() cross-checks the total of
+  /// finished scenarios against the classification count after the
+  /// sweep — a mismatch means probes were silently skipped or
+  /// double-issued.
+  std::uint64_t probeBlock(const FaultScenario& s, std::size_t begin,
+                           std::size_t end, FaultRecord& rec) const;
 
   const rsn::Network* net_;
   CampaignConfig config_;
+  /// config_.retarget resolved once for every block's retargeter.
+  sim::RetargetOptions retarget_;
   /// Lowered once at construction and shared by every run(): pair and
   /// transient campaigns build their oracle engines from this arena
   /// instead of re-flattening per mode/stage (the obs counter

@@ -196,10 +196,10 @@ std::vector<std::vector<graph::VertexId>> enumeratePaths(
 /// a fault-aware caller passes `faults` so that a stuck mux is asked
 /// for the branch it is actually stuck at whenever that branch matches
 /// the walk (any other demand could never be realized).
-std::map<rsn::MuxId, std::uint32_t> selectionsFromPath(
+Selections selectionsFromPath(
     const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& path,
     const std::vector<fault::Fault>& faults) {
-  std::map<rsn::MuxId, std::uint32_t> sel;
+  Selections sel;
   for (std::size_t k = 1; k < path.size(); ++k) {
     const rsn::MuxId m = flat.muxOfVertex()[path[k]];
     if (m == rsn::kNone) continue;
@@ -257,24 +257,29 @@ bool replayPatterns(ScanSimulator& sim, const RetargetResult& recorded) {
   return true;
 }
 
+RetargetOptions RetargetOptions::resolvedFor(const rsn::Network& net) const {
+  RetargetOptions out = *this;
+  if (out.maxRounds == 0) out.maxRounds = net.stats().maxMuxNesting + 2;
+  return out;
+}
+
 Retargeter::Retargeter(ScanSimulator& sim,
                        std::shared_ptr<const rsn::FlatNetwork> flat,
                        RetargetOptions options)
-    : sim_(&sim), options_(options), flat_(std::move(flat)) {
+    : sim_(&sim),
+      options_(options.resolvedFor(sim.network())),
+      flat_(std::move(flat)) {
   const rsn::Network& net = sim.network();
   RRSN_CHECK(flat_ != nullptr &&
                  flat_->segmentCount() == net.segments().size() &&
                  flat_->muxCount() == net.muxes().size(),
              "retargeter arena was not lowered from the simulated network");
-  maxRounds_ = options_.maxRounds != 0 ? options_.maxRounds
-                                       : net.stats().maxMuxNesting + 2;
 }
 
 Retargeter::Retargeter(ScanSimulator& sim, RetargetOptions options)
     : Retargeter(sim, rsn::FlatNetwork::lower(sim.network()), options) {}
 
-RetargetResult Retargeter::realizeSelections(
-    const std::map<rsn::MuxId, std::uint32_t>& selections) {
+RetargetResult Retargeter::realizeSelections(const Selections& selections) {
   const rsn::Network& net = sim_->network();
   RetargetResult res;
 
@@ -306,7 +311,7 @@ RetargetResult Retargeter::realizeSelections(
     return true;
   };
 
-  for (std::size_t round = 0; round <= maxRounds_; ++round) {
+  for (std::size_t round = 0; round <= options_.maxRounds; ++round) {
     if (done()) {
       res.success = true;
       return res;
@@ -345,7 +350,7 @@ namespace {
 
 /// Joins a prefix (scan-in -> seg) and suffix (seg -> scan-out) into the
 /// mux selections realizing the combined walk.
-std::map<rsn::MuxId, std::uint32_t> joinSelections(
+Selections joinSelections(
     const rsn::FlatNetwork& flat, const std::vector<graph::VertexId>& prefix,
     const std::vector<graph::VertexId>& suffix,
     const std::vector<fault::Fault>& faults) {
@@ -369,68 +374,75 @@ bool breaksSegment(const std::vector<fault::Fault>& faults,
 
 }  // namespace
 
-/// Candidate mux-selection maps for accessing `seg`, in attempt order.
-/// Entry 0 (when present) is the *nominal* recipe — the shortest
-/// fault-unaware path, exactly what a controller without fault knowledge
-/// would apply.  Subsequent entries are fault-aware alternatives from the
-/// bounded reroute enumeration; `allowBreakAtSeg` selects the read
-/// flavor (broken segment tolerable on the scan-in side) vs the write
-/// flavor (tolerable on the scan-out side).  Duplicates of earlier
-/// entries are dropped, and the total is capped at 1 + maxReroutes.
-static std::vector<std::pair<std::map<rsn::MuxId, std::uint32_t>, bool>>
-candidateSelections(const rsn::FlatNetwork& flat,
+/// The nominal recipe for accessing `seg`: the shortest fault-unaware
+/// path, with selections derived fault-unaware too — exactly what a
+/// controller without fault knowledge would apply.  nullopt if the
+/// topology has no path through `seg`.  It depends on the topology only,
+/// so each segment's recipe is searched once per engine.
+const std::optional<Selections>& Retargeter::nominalSelections(
+    rsn::SegmentId seg) {
+  const auto [it, inserted] = nominal_.try_emplace(seg);
+  if (!inserted) return it->second;
+  const graph::VertexId segV = flat_->segmentVertex()[seg];
+  const auto prefix = findPath(*flat_, {}, flat_->scanIn(), segV, false);
+  const auto suffix = findPath(*flat_, {}, segV, flat_->scanOut(), false);
+  if (prefix && suffix)
+    it->second = joinSelections(*flat_, *prefix, *suffix, {});
+  return it->second;
+}
+
+namespace {
+
+/// Feeds the fault-aware reroute recipes for accessing `seg` to `tryRecipe`
+/// in attempt order, until it returns true.  They come from the bounded
+/// enumeration of fault-honoring prefix/suffix pairs;
+/// `breakBeforeSegTolerable` selects the read flavor (broken segment
+/// tolerable on the scan-in side) vs the write flavor (tolerable on the
+/// scan-out side).  A recipe equal to the nominal one or to an earlier
+/// reroute is skipped, and at most 1 + maxReroutes recipes exist counting
+/// the nominal one.  Joins are built only as they are tried, so the
+/// first reroute that works ends the search.
+template <typename TryRecipe>
+void forEachReroute(const rsn::FlatNetwork& flat,
                     const std::vector<fault::Fault>& faults,
                     rsn::SegmentId seg, bool breakBeforeSegTolerable,
-                    const RetargetOptions& options) {
-  using Selections = std::map<rsn::MuxId, std::uint32_t>;
-  std::vector<std::pair<Selections, bool>> out;  // (selections, rerouted)
+                    std::size_t maxReroutes, const Selections* nominal,
+                    TryRecipe&& tryRecipe) {
+  std::vector<Selections> tried;
+  if (nominal != nullptr) tried.push_back(*nominal);
   const graph::VertexId segV = flat.segmentVertex()[seg];
 
-  const auto push = [&](Selections sel, bool rerouted) {
-    for (const auto& [existing, r] : out)
-      if (existing == sel) return;
-    out.emplace_back(std::move(sel), rerouted);
-  };
-
-  // Nominal: shortest path ignoring the faults (selections derived
-  // fault-unaware too — this is the recipe of an oblivious controller).
-  {
-    const auto prefix = findPath(flat, {}, flat.scanIn(), segV, false);
-    const auto suffix = findPath(flat, {}, segV, flat.scanOut(), false);
-    if (prefix && suffix)
-      push(joinSelections(flat, *prefix, *suffix, {}), false);
-  }
-
-  if (faults.empty() || !options.allowReroute || options.maxReroutes == 0)
-    return out;
-
-  // Reroute: enumerate fault-honoring prefix/suffix pairs.  The second
-  // strategy additionally tolerates broken segments on the side where
-  // the payload never crosses them (scan-in side for reads, scan-out
-  // side for writes).
-  const std::size_t cap = options.maxReroutes;
+  // The second strategy additionally tolerates broken segments on the
+  // side where the payload never crosses them (scan-in side for reads,
+  // scan-out side for writes).
   for (const bool tolerateBreak : {false, true}) {
     if (tolerateBreak && !containsBreak(faults)) break;
     const bool allowPrefixBreak = tolerateBreak && breakBeforeSegTolerable;
     const bool allowSuffixBreak = tolerateBreak && !breakBeforeSegTolerable;
     const auto prefixes = enumeratePaths(flat, faults, flat.scanIn(), segV,
-                                         allowPrefixBreak, cap);
+                                         allowPrefixBreak, maxReroutes);
     const auto suffixes = enumeratePaths(flat, faults, segV, flat.scanOut(),
-                                         allowSuffixBreak, cap);
+                                         allowSuffixBreak, maxReroutes);
     for (const auto& prefix : prefixes) {
       for (const auto& suffix : suffixes) {
-        if (out.size() > cap) return out;  // entry 0 is the nominal recipe
-        push(joinSelections(flat, prefix, suffix, faults), true);
+        if (tried.size() > maxReroutes) return;
+        Selections sel = joinSelections(flat, prefix, suffix, faults);
+        if (std::find(tried.begin(), tried.end(), sel) != tried.end())
+          continue;
+        if (tryRecipe(sel)) return;
+        tried.push_back(std::move(sel));
       }
     }
   }
-  return out;
 }
 
-RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
-  RRSN_OBS_SPAN("sim.read");
-  const rsn::Network& net = sim_->network();
-  const rsn::SegmentId seg = net.instrument(i).segment;
+}  // namespace
+
+template <typename Finish>
+RetargetResult Retargeter::access(rsn::SegmentId seg,
+                                  bool breakBeforeSegTolerable,
+                                  Finish&& finish) {
+  static const obs::MetricId kSearches = obs::counter("sim.reroute_searches");
   const std::vector<fault::Fault> faults = sim_->injectedFaults();
   checkFaults(*flat_, faults);
 
@@ -440,55 +452,68 @@ RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
     return best;  // the instrument's own segment is dead
   }
 
-  // For reads the scan-out side must be clean; a broken segment on the
-  // scan-in side only shifts garbage in behind the marker.
+  // Realizes one recipe and lets `finish` apply and check the payload
+  // round.  A failed attempt can leave X in address registers (a shift
+  // across a broken segment poisons everything downstream, including SIB
+  // registers that sit behind their content), with no scan-accessible
+  // recovery.  So every recipe after the first starts from power-on with
+  // only the physical defects persisting, which also makes the recorded
+  // patterns replayable from power-on.
   bool first = true;
-  for (const auto& [selections, rerouted] : candidateSelections(
-           *flat_, faults, seg, /*breakBeforeSegTolerable=*/true, options_)) {
-    // A failed attempt can leave X in address registers (a shift across
-    // a broken segment poisons everything downstream, including SIB
-    // registers that sit behind their content), with no scan-accessible
-    // recovery.  Power-cycle between candidate recipes: each one starts
-    // from the reset image with only the physical defects persisting,
-    // which also makes the recorded patterns replayable from power-on.
+  const auto tryRecipe = [&](const Selections& selections, bool rerouted) {
     if (!first) {
       sim_->reset();
       sim_->injectFaults(faults);
     }
     first = false;
     RetargetResult attempt = realizeSelections(selections);
-    if (!attempt.success) continue;
-
+    if (!attempt.success) return false;
     const auto path = sim_->activePath();
-    if (!path || !onPath(*path, seg)) continue;
+    if (!path || !onPath(*path, seg) || !finish(*path, attempt)) return false;
+    attempt.success = true;
+    attempt.rerouted = rerouted;
+    best = std::move(attempt);
+    return true;
+  };
 
+  // The nominal recipe first; the reroute enumeration runs only when it
+  // fails (most accesses under a single defect never need it).
+  const std::optional<Selections>& nominal = nominalSelections(seg);
+  const bool done = nominal && tryRecipe(*nominal, false);
+  if (!done && !faults.empty() && options_.allowReroute &&
+      options_.maxReroutes != 0) {
+    obs::count(kSearches);
+    forEachReroute(*flat_, faults, seg, breakBeforeSegTolerable,
+                   options_.maxReroutes, nominal ? &*nominal : nullptr,
+                   [&](const Selections& sel) { return tryRecipe(sel, true); });
+  }
+  recordAccess(best);
+  return best;
+}
+
+RetargetResult Retargeter::readInstrument(rsn::InstrumentId i) {
+  RRSN_OBS_SPAN("sim.read");
+  const rsn::Network& net = sim_->network();
+  const rsn::SegmentId seg = net.instrument(i).segment;
+  // For reads the scan-out side must be clean; a broken segment on the
+  // scan-in side only shifts garbage in behind the marker.
+  return access(seg, /*breakBeforeSegTolerable=*/true,
+                [&](const PathInfo& path, RetargetResult& attempt) {
     const auto marker = accessMarker(net.segment(seg).length);
     sim_->setInstrumentValue(i, marker);
-    const std::vector<Bit> in(path->totalBits, Bit::Zero);
+    const std::vector<Bit> in(path.totalBits, Bit::Zero);
     const auto out = sim_->csu(in);
     attempt.patterns.push_back({in, out});
     ++attempt.rounds;
 
-    const auto offset = ScanSimulator::offsetOf(net, *path, seg);
-    bool ok = offset.has_value();
-    if (ok) {
-      for (std::uint32_t k = 0; k < marker.size(); ++k) {
-        const std::size_t pos = path->totalBits - 1 - (*offset + k);
-        if (out[pos] != marker[k]) {
-          ok = false;
-          break;
-        }
-      }
+    const auto offset = ScanSimulator::offsetOf(net, path, seg);
+    if (!offset) return false;
+    for (std::uint32_t k = 0; k < marker.size(); ++k) {
+      const std::size_t pos = path.totalBits - 1 - (*offset + k);
+      if (out[pos] != marker[k]) return false;
     }
-    if (ok) {
-      attempt.success = true;
-      attempt.rerouted = rerouted;
-      recordAccess(attempt);
-      return attempt;
-    }
-  }
-  recordAccess(best);
-  return best;
+    return true;
+  });
 }
 
 RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
@@ -498,38 +523,16 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
   const rsn::SegmentId seg = net.instrument(i).segment;
   RRSN_CHECK(value.size() == net.segment(seg).length,
              "write value length mismatch");
-  const std::vector<fault::Fault> faults = sim_->injectedFaults();
-  checkFaults(*flat_, faults);
-
-  RetargetResult best;
-  if (breaksSegment(faults, seg)) {
-    recordAccess(best);
-    return best;
-  }
-
   // For writes the scan-in side must be clean; the scan-out side may
   // contain broken segments (the value never travels through them).
-  // As in readInstrument, each candidate recipe starts from power-on.
-  bool first = true;
-  for (const auto& [selections, rerouted] : candidateSelections(
-           *flat_, faults, seg, /*breakBeforeSegTolerable=*/false, options_)) {
-    if (!first) {
-      sim_->reset();
-      sim_->injectFaults(faults);
-    }
-    first = false;
-    RetargetResult attempt = realizeSelections(selections);
-    if (!attempt.success) continue;
-
-    const auto path = sim_->activePath();
-    if (!path || !onPath(*path, seg)) continue;
-    const auto offset = ScanSimulator::offsetOf(net, *path, seg);
-    if (!offset) continue;
+  return access(seg, /*breakBeforeSegTolerable=*/false,
+                [&](const PathInfo& path, RetargetResult& attempt) {
+    if (!ScanSimulator::offsetOf(net, path, seg)) return false;
 
     // Image: keep every segment's configuration, place `value` at seg.
     std::vector<Bit> image;
-    image.reserve(path->totalBits);
-    for (rsn::SegmentId s : path->segments) {
+    image.reserve(path.totalBits);
+    for (rsn::SegmentId s : path.segments) {
       if (s == seg) {
         image.insert(image.end(), value.begin(), value.end());
       } else {
@@ -541,16 +544,8 @@ RetargetResult Retargeter::writeInstrument(rsn::InstrumentId i,
     const auto out = sim_->csu(in);
     attempt.patterns.push_back({in, out});
     ++attempt.rounds;
-
-    if (sim_->segmentUpdate(seg) == value) {
-      attempt.success = true;
-      attempt.rerouted = rerouted;
-      recordAccess(attempt);
-      return attempt;
-    }
-  }
-  recordAccess(best);
-  return best;
+    return sim_->segmentUpdate(seg) == value;
+  });
 }
 
 AccessReport probeAccessSet(const rsn::Network& net,

@@ -21,6 +21,9 @@
 
 namespace rrsn::sim {
 
+/// Mux selections an access steers: branch per mux.
+using Selections = std::map<rsn::MuxId, std::uint32_t>;
+
 /// One applied scan access (for pattern logging / replay).
 struct ScanPattern {
   std::vector<Bit> shiftIn;   ///< stream fed to scan-in
@@ -41,6 +44,11 @@ struct RetargetOptions {
   /// Alternative-path realizations attempted per access; caps both the
   /// path enumeration and the CSU work spent on graceful degradation.
   std::size_t maxReroutes = 8;
+
+  /// A copy with an automatic maxRounds replaced by its value for `net`.
+  /// That value walks the whole structure, so callers spawning many
+  /// engines over one network resolve once and pass the result.
+  RetargetOptions resolvedFor(const rsn::Network& net) const;
 };
 
 /// Outcome of a retargeting attempt.  `externalSelections` records the
@@ -84,9 +92,13 @@ class Retargeter {
   /// CSU rounds, TAP-controlled ones directly).  Selections of muxes not
   /// listed are left alone.  Fails if the fault in the simulator blocks a
   /// required write or the rounds budget is exhausted.
-  RetargetResult realizeSelections(
-      const std::map<rsn::MuxId, std::uint32_t>& selections);
+  RetargetResult realizeSelections(const Selections& selections);
 
+  /// Every access tries the nominal (fault-unaware) recipe first and
+  /// enumerates fault-aware reroutes only if it fails
+  /// (RetargetOptions::allowReroute); the counter `sim.reroute_searches`
+  /// counts the accesses that ran that enumeration.
+  ///
   /// End-to-end read: configures a path through instrument i's segment,
   /// captures a marker from the instrument and checks the marker arrives
   /// at scan-out unpoisoned.  Throws Error if an injected fault names a
@@ -99,12 +111,21 @@ class Retargeter {
                                  const std::vector<Bit>& value);
 
  private:
+  const std::optional<Selections>& nominalSelections(rsn::SegmentId seg);
+  /// The shared attempt loop of readInstrument / writeInstrument:
+  /// realizes each recipe in turn and calls finish(path, attempt) to
+  /// apply and check the payload round.
+  template <typename Finish>
+  RetargetResult access(rsn::SegmentId seg, bool breakBeforeSegTolerable,
+                        Finish&& finish);
+
   ScanSimulator* sim_;
-  RetargetOptions options_;
-  std::size_t maxRounds_ = 0;
+  RetargetOptions options_;  ///< resolved: maxRounds != 0
   /// The scan graph paths are searched on; the topology never changes
   /// under a fault.
   std::shared_ptr<const rsn::FlatNetwork> flat_;
+  /// Nominal recipe per segment accessed so far.
+  std::map<rsn::SegmentId, std::optional<Selections>> nominal_;
 };
 
 /// Per-instrument accessibility under an optional fault.

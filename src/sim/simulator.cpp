@@ -39,14 +39,22 @@ std::string toString(const std::vector<Bit>& bits) {
 }
 
 ScanSimulator::ScanSimulator(const rsn::Network& net)
-    : net_(&net), muxArity_(net.muxes().size(), 0) {
+    : net_(&net),
+      muxArity_(net.muxes().size(), 0),
+      cellOffset_(net.segments().size() + 1, 0),
+      instrumentValue_(net.segments().size()),
+      isTouched_(net.segments().size(), 0),
+      externalAddress_(net.muxes().size(), 0) {
+  for (rsn::SegmentId s = 0; s < net.segments().size(); ++s)
+    cellOffset_[s + 1] = cellOffset_[s] + net.segment(s).length;
+  shift_.assign(cellOffset_.back(), Bit::Zero);
+  update_.assign(cellOffset_.back(), Bit::Zero);
   const rsn::Structure& st = net.structure();
   st.preOrder([&](rsn::NodeId id) {
     const auto& n = st.node(id);
     if (n.kind == rsn::NodeKind::MuxJoin)
       muxArity_[n.prim] = static_cast<std::uint32_t>(n.children.size());
   });
-  reset();
 }
 
 void ScanSimulator::checkFault(const fault::Fault& f) const {
@@ -77,23 +85,25 @@ void ScanSimulator::addFault(const fault::Fault& f) {
 }
 
 void ScanSimulator::reset() {
-  state_.assign(net_->segments().size(), {});
-  for (rsn::SegmentId s = 0; s < net_->segments().size(); ++s) {
-    const auto len = net_->segment(s).length;
-    state_[s].shift.assign(len, Bit::Zero);
-    state_[s].update.assign(len, Bit::Zero);
-    state_[s].instrumentValue.clear();
+  // Every retargeted access starts with a reset, so it refills only the
+  // registers written since the last one, in place: segments outside
+  // touched_ still hold their power-up state.
+  for (const rsn::SegmentId s : touched_) {
+    std::fill(shiftCells(s), shiftCells(s) + cellCount(s), Bit::Zero);
+    std::fill(updateCells(s), updateCells(s) + cellCount(s), Bit::Zero);
+    instrumentValue_[s].clear();
+    isTouched_[s] = 0;
   }
-  externalAddress_.assign(net_->muxes().size(), 0);
+  touched_.clear();
+  std::fill(externalAddress_.begin(), externalAddress_.end(), 0U);
   faults_.clear();
   upset_.reset();
   roundsSinceArm_ = 0;
 }
 
 void ScanSimulator::resetConfiguration() {
-  for (rsn::SegmentId s = 0; s < net_->segments().size(); ++s)
-    state_[s].update.assign(net_->segment(s).length, Bit::Zero);
-  externalAddress_.assign(net_->muxes().size(), 0);
+  std::fill(update_.begin(), update_.end(), Bit::Zero);
+  std::fill(externalAddress_.begin(), externalAddress_.end(), 0U);
 }
 
 void ScanSimulator::armTransientUpset(const TransientUpset& upset) {
@@ -116,7 +126,8 @@ void ScanSimulator::setInstrumentValue(rsn::InstrumentId i,
   const rsn::SegmentId seg = net_->instrument(i).segment;
   RRSN_CHECK(value.size() == net_->segment(seg).length,
              "instrument value length mismatch");
-  state_[seg].instrumentValue = std::move(value);
+  touch(seg);
+  instrumentValue_[seg] = std::move(value);
 }
 
 std::vector<Bit> ScanSimulator::instrumentUpdate(rsn::InstrumentId i) const {
@@ -124,8 +135,13 @@ std::vector<Bit> ScanSimulator::instrumentUpdate(rsn::InstrumentId i) const {
 }
 
 std::vector<Bit> ScanSimulator::segmentUpdate(rsn::SegmentId s) const {
-  RRSN_CHECK(s < state_.size(), "segment id out of range");
-  return state_[s].update;
+  RRSN_CHECK(s < net_->segments().size(), "segment id out of range");
+  return {updateCells(s), updateCells(s) + cellCount(s)};
+}
+
+std::vector<Bit> ScanSimulator::segmentShift(rsn::SegmentId s) const {
+  RRSN_CHECK(s < net_->segments().size(), "segment id out of range");
+  return {shiftCells(s), shiftCells(s) + cellCount(s)};
 }
 
 std::uint32_t ScanSimulator::resolveSelection(rsn::MuxId m) const {
@@ -138,14 +154,22 @@ std::uint32_t ScanSimulator::resolveSelection(rsn::MuxId m) const {
   if (ctrl == rsn::kNone) return externalAddress_[m];
 
   // Interpret the control segment's update register as an unsigned
-  // little-endian integer (cell 0 = LSB); X anywhere makes it invalid.
-  std::uint64_t value = 0;
-  const auto& bits = state_[ctrl].update;
-  for (std::size_t i = 0; i < bits.size() && i < 64; ++i) {
+  // little-endian integer (cell 0 = LSB).  X anywhere makes it invalid;
+  // a value that does not fit 32 bits saturates to an out-of-range
+  // selection instead of wrapping onto a real branch.
+  std::uint32_t value = 0;
+  bool wide = false;
+  const Bit* bits = updateCells(ctrl);
+  for (std::size_t i = 0; i < cellCount(ctrl); ++i) {
     if (bits[i] == Bit::X) return kInvalidSelection;
-    if (bits[i] == Bit::One) value |= 1ULL << i;
+    if (bits[i] != Bit::One) continue;
+    if (i < 32) {
+      value |= 1U << i;
+    } else {
+      wide = true;
+    }
   }
-  return static_cast<std::uint32_t>(value);
+  return wide ? kOutOfRangeSelection : value;
 }
 
 std::uint32_t ScanSimulator::muxSelection(rsn::MuxId m) const {
@@ -194,46 +218,31 @@ std::vector<Bit> ScanSimulator::csu(const std::vector<Bit>& in) {
                  std::to_string(path->totalBits) + " bits)");
 
   // Capture: instrument segments capture the instrument value, plain
-  // segments recirculate their update value.
-  for (rsn::SegmentId s : path->segments) {
-    SegmentState& st = state_[s];
-    st.shift = st.instrumentValue.empty() ? st.update : st.instrumentValue;
-    if (isBroken(s)) std::fill(st.shift.begin(), st.shift.end(), Bit::X);
-  }
-
-  // Shift: one concatenated register, scan-in side at index 0.  A broken
-  // segment poisons its cells after every clock, so anything shifted
-  // through it leaves as X.  Several simultaneous breaks poison several
-  // disjoint ranges.
+  // segments recirculate their update value.  The path is one
+  // concatenated register, scan-in side at index 0.
   std::vector<Bit> reg;
   reg.reserve(path->totalBits);
   std::vector<std::pair<std::size_t, std::size_t>> brokenRanges;
   for (rsn::SegmentId s : path->segments) {
     if (isBroken(s))
-      brokenRanges.emplace_back(reg.size(), reg.size() + state_[s].shift.size());
-    reg.insert(reg.end(), state_[s].shift.begin(), state_[s].shift.end());
-  }
-
-  std::vector<Bit> out;
-  out.reserve(path->totalBits);
-  for (std::size_t t = 0; t < in.size(); ++t) {
-    out.push_back(reg.back());
-    for (std::size_t i = reg.size() - 1; i > 0; --i) reg[i] = reg[i - 1];
-    reg[0] = in[t];
-    for (const auto& [first, last] : brokenRanges) {
-      for (std::size_t i = first; i < last; ++i) reg[i] = Bit::X;
+      brokenRanges.emplace_back(reg.size(), reg.size() + cellCount(s));
+    const std::vector<Bit>& value = instrumentValue_[s];
+    if (value.empty()) {
+      reg.insert(reg.end(), updateCells(s), updateCells(s) + cellCount(s));
+    } else {
+      reg.insert(reg.end(), value.begin(), value.end());
     }
   }
 
+  std::vector<Bit> out = shiftThrough(reg, brokenRanges, in);
+
   // Scatter the register back and update.
-  std::size_t offset = 0;
+  const Bit* next = reg.data();
   for (rsn::SegmentId s : path->segments) {
-    SegmentState& st = state_[s];
-    std::copy(reg.begin() + static_cast<std::ptrdiff_t>(offset),
-              reg.begin() + static_cast<std::ptrdiff_t>(offset + st.shift.size()),
-              st.shift.begin());
-    st.update = st.shift;
-    offset += st.shift.size();
+    touch(s);
+    std::copy(next, next + cellCount(s), shiftCells(s));
+    std::copy(next, next + cellCount(s), updateCells(s));
+    next += cellCount(s);
   }
 
   // A pending transient upset fires once the configured CSU round has
@@ -241,13 +250,49 @@ std::vector<Bit> ScanSimulator::csu(const std::vector<Bit>& in) {
   // register, on or off the active path — is corrupted to X.  The upset
   // is consumed; subsequent rounds operate on clean silicon again.
   if (upset_ && roundsSinceArm_ == upset_->round) {
-    SegmentState& st = state_[upset_->segment];
-    std::fill(st.shift.begin(), st.shift.end(), Bit::X);
-    std::fill(st.update.begin(), st.update.end(), Bit::X);
+    const rsn::SegmentId s = upset_->segment;
+    touch(s);
+    std::fill(shiftCells(s), shiftCells(s) + cellCount(s), Bit::X);
+    std::fill(updateCells(s), updateCells(s) + cellCount(s), Bit::X);
     upset_.reset();
   }
   ++roundsSinceArm_;
   return out;
+}
+
+std::vector<Bit> ScanSimulator::shiftThrough(
+    std::vector<Bit>& reg,
+    const std::vector<std::pair<std::size_t, std::size_t>>& brokenRanges,
+    const std::vector<Bit>& in) {
+  RRSN_CHECK(in.size() == reg.size(),
+             "shift-in stream length does not match the register");
+  // Clock t emits index B-1, moves every cell one index up, loads in[t]
+  // at index 0 and re-poisons the broken cells.  So the captured cell at
+  // index p leaves at clock B-1-p after visiting indices p..B-1: it
+  // leaves as X iff p <= the highest broken index.  in[t] ends at index
+  // B-1-t after visiting indices 0..B-1-t: it is X iff some broken index
+  // is <= B-1-t.  Only the two extreme broken indices matter; an empty
+  // range has no index and poisons nothing.
+  const std::size_t bitsTotal = reg.size();
+  std::size_t lowBroken = bitsTotal;  // lowest broken index, B if none
+  std::size_t highBroken = 0;         // one past the highest, 0 if none
+  for (const auto& [first, last] : brokenRanges) {
+    if (first >= last) continue;
+    lowBroken = std::min(lowBroken, first);
+    highBroken = std::max(highBroken, last);
+  }
+  std::vector<Bit> out(bitsTotal);
+  for (std::size_t p = 0; p < bitsTotal; ++p) {
+    out[bitsTotal - 1 - p] = p < highBroken ? Bit::X : reg[p];
+    reg[p] = p >= lowBroken ? Bit::X : in[bitsTotal - 1 - p];
+  }
+  return out;
+}
+
+void ScanSimulator::touch(rsn::SegmentId s) {
+  if (isTouched_[s] != 0) return;
+  isTouched_[s] = 1;
+  touched_.push_back(s);
 }
 
 bool ScanSimulator::isBroken(rsn::SegmentId s) const {

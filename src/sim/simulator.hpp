@@ -36,6 +36,9 @@ std::string toString(const std::vector<Bit>& bits);
 
 inline constexpr std::uint32_t kInvalidSelection =
     static_cast<std::uint32_t>(-1);
+/// Selection of a mux whose address register holds a value that does not
+/// fit 32 bits: never a valid branch.
+inline constexpr std::uint32_t kOutOfRangeSelection = kInvalidSelection - 1;
 
 /// The active scan path under the current configuration.
 struct PathInfo {
@@ -111,9 +114,12 @@ class ScanSimulator {
 
   /// Update-register content of any segment.
   std::vector<Bit> segmentUpdate(rsn::SegmentId s) const;
+  /// Shift-register content of any segment.
+  std::vector<Bit> segmentShift(rsn::SegmentId s) const;
 
   /// Resolved selection of a mux under the current configuration and
-  /// fault: branch index, or kInvalidSelection if the address is X.
+  /// fault: branch index, kInvalidSelection if the address is X, or
+  /// kOutOfRangeSelection if it has a set bit at 32 or above.
   std::uint32_t muxSelection(rsn::MuxId m) const;
 
   /// Active scan path; nullopt if some on-path mux address is X.
@@ -124,6 +130,18 @@ class ScanSimulator {
   /// bits that left through scan-out (captured image, scan-out-nearest
   /// cell first).  Throws ValidationError if there is no valid path.
   std::vector<Bit> csu(const std::vector<Bit>& in);
+
+  /// The shift phase of one CSU access, in closed form: O(B) instead of
+  /// B clocks over a B-bit register.  `reg` is the path's captured
+  /// register, scan-in side at index 0; the cells of every
+  /// [first, last) range in `brokenRanges` read as X from the capture on
+  /// and are re-poisoned after every clock.  Shifts in in.size() ==
+  /// reg.size() bits; returns the bits that left through scan-out
+  /// (first clock first) and leaves the shifted-in content in `reg`.
+  static std::vector<Bit> shiftThrough(
+      std::vector<Bit>& reg,
+      const std::vector<std::pair<std::size_t, std::size_t>>& brokenRanges,
+      const std::vector<Bit>& in);
 
   /// Shift-in image builder: the input stream that loads `image` (one
   /// entry per path bit, scan-in-nearest first) into the path registers.
@@ -136,20 +154,36 @@ class ScanSimulator {
                                              rsn::SegmentId seg);
 
  private:
-  struct SegmentState {
-    std::vector<Bit> shift;
-    std::vector<Bit> update;
-    std::vector<Bit> instrumentValue;  ///< empty: capture update instead
-  };
-
   void checkFault(const fault::Fault& f) const;
   std::uint32_t resolveSelection(rsn::MuxId m) const;
   bool walkPath(rsn::NodeId node, PathInfo& path) const;
   bool isBroken(rsn::SegmentId s) const;
+  /// Records that segment s may no longer hold its power-up state.
+  void touch(rsn::SegmentId s);
+  std::size_t cellCount(rsn::SegmentId s) const {
+    return cellOffset_[s + 1] - cellOffset_[s];
+  }
+  Bit* shiftCells(rsn::SegmentId s) { return shift_.data() + cellOffset_[s]; }
+  const Bit* shiftCells(rsn::SegmentId s) const {
+    return shift_.data() + cellOffset_[s];
+  }
+  Bit* updateCells(rsn::SegmentId s) { return update_.data() + cellOffset_[s]; }
+  const Bit* updateCells(rsn::SegmentId s) const {
+    return update_.data() + cellOffset_[s];
+  }
 
   const rsn::Network* net_;
   std::vector<std::uint32_t> muxArity_;  ///< branch count per mux
-  std::vector<SegmentState> state_;
+  /// Every segment's shift and update cells in two flat arrays; segment
+  /// s owns cells [cellOffset_[s], cellOffset_[s + 1]).
+  std::vector<std::size_t> cellOffset_;
+  std::vector<Bit> shift_, update_;
+  /// Per segment: the value its instrument presents at capture; empty
+  /// captures the update register instead.
+  std::vector<std::vector<Bit>> instrumentValue_;
+  /// Segments written since the last reset(), and a flag per segment.
+  std::vector<rsn::SegmentId> touched_;
+  std::vector<std::uint8_t> isTouched_;
   std::vector<std::uint32_t> externalAddress_;
   std::vector<fault::Fault> faults_;
   std::optional<TransientUpset> upset_;

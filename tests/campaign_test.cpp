@@ -27,6 +27,7 @@
 #include "harden/fault_tolerant.hpp"
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 
@@ -41,6 +42,14 @@ std::string reportString(const rsn::Network& net,
 campaign::CampaignResult runCampaign(const rsn::Network& net,
                                      campaign::CampaignConfig config = {}) {
   return campaign::CampaignEngine(net, std::move(config)).run();
+}
+
+/// Sum of the named obs counter over every thread of the snapshot.
+std::uint64_t counterValue(const obs::Snapshot& snap, const std::string& name) {
+  std::uint64_t n = 0;
+  for (const auto& [id, v] : snap.counters)
+    if (snap.names[id] == name) n += v;
+  return n;
 }
 
 /// Unique-ish checkpoint path under the test's working directory.
@@ -254,6 +263,68 @@ TEST(Campaign, CheckpointResumeMatchesUninterruptedRun) {
   std::remove(path.c_str());
 }
 
+TEST(Campaign, DeadlineMidScenarioLeavesNoPartialRecordDone) {
+  // t512505 has 288 instruments, nine probe blocks per scenario, so a
+  // deadline usually trips between two blocks of one scenario.  That
+  // scenario must stay pending (not done, nothing recorded, not in the
+  // checkpoint), and resuming must end in the uninterrupted report.
+  const rsn::Network net = benchgen::buildBenchmark("t512505");
+  campaign::CampaignConfig base;
+  base.sample = 6;
+  base.seed = 2022;
+  const campaign::CampaignResult reference = runCampaign(net, base);
+  const std::string uninterrupted = reportString(net, reference);
+  const std::uint64_t perScenario = 2 * net.instruments().size();
+
+  setThreadCount(1);  // blocks run in order: a trip cuts one scenario
+  bool midScenario = false;
+  for (std::uint64_t ms = 1; ms <= 4096 && !midScenario; ms *= 2) {
+    const std::string path = checkpointPath("mid_scenario");
+    std::remove(path.c_str());
+    campaign::CampaignConfig first = base;
+    first.checkpointPath = path;
+    first.deadlineMs = ms;
+    obs::enable();
+    const std::uint64_t before = counterValue(obs::snapshot(), "sim.accesses");
+    const campaign::CampaignResult partial = runCampaign(net, first);
+    const std::uint64_t accesses =
+        counterValue(obs::snapshot(), "sim.accesses") - before;
+    obs::disable();
+    const campaign::CampaignSummary ps = partial.summary();
+    if (ps.complete()) break;  // the deadline never tripped
+    // Accesses beyond two per instrument of every finished scenario were
+    // spent on a scenario the deadline cut short.
+    midScenario = accesses > perScenario * ps.faultsDone;
+    for (std::size_t k = 0; k < partial.records.size(); ++k) {
+      const campaign::FaultRecord& rec = partial.records[k];
+      if (rec.done) {
+        expectSameRecord(rec, reference.records[k]);
+      } else {
+        EXPECT_TRUE(rec.read.empty()) << "record " << k;
+        EXPECT_TRUE(rec.write.empty()) << "record " << k;
+      }
+    }
+
+    campaign::CampaignConfig resume = base;
+    resume.checkpointPath = path;
+    campaign::CampaignEngine engine(net, resume);
+    obs::enable();
+    const std::uint64_t restoredBefore =
+        counterValue(obs::snapshot(), "campaign.restored");
+    const campaign::CampaignResult final = engine.run();
+    const std::uint64_t restored =
+        counterValue(obs::snapshot(), "campaign.restored") - restoredBefore;
+    obs::disable();
+    EXPECT_EQ(restored, ps.faultsDone) << "deadline " << ms << " ms";
+    EXPECT_TRUE(final.summary().complete());
+    EXPECT_EQ(reportString(net, final), uninterrupted)
+        << "deadline " << ms << " ms";
+    std::remove(path.c_str());
+  }
+  setThreadCount(0);
+  EXPECT_TRUE(midScenario) << "no deadline tripped inside a scenario";
+}
+
 TEST(Campaign, CheckpointIgnoresDifferentConfiguration) {
   const rsn::Network net = rsn::makeFig1Network();
   const std::string path = checkpointPath("fingerprint");
@@ -405,6 +476,52 @@ TEST(Campaign, ReportJsonIsCanonical) {
   EXPECT_EQ(doc.at("network").asString(), "tiny");
   EXPECT_EQ(doc.at("summary").at("segment_break_mismatches").asUnsigned(), 0u);
   EXPECT_EQ(doc.at("summary").at("mux_stuck_mismatches").asUnsigned(), 0u);
+}
+
+/// FNV-1a digest of a campaign's canonical JSON report.
+std::uint64_t reportDigest(const rsn::Network& net,
+                           const campaign::CampaignResult& result) {
+  std::uint64_t h = hash::kFnvOffset;
+  hash::fnvMix(h, reportString(net, result));
+  return h;
+}
+
+TEST(CampaignGolden, ReportsMatchPinnedDigestsAtAnyThreadCount) {
+  // Digests of reportJson pinned before the simulator fast paths
+  // (nominal-first retargeting, the closed-form CSU shift, the
+  // per-instrument-block fan-out).  Each of them changes how much work a
+  // probe costs, never its outcome, so the reports stay byte-identical.
+  struct Pin {
+    const char* design;
+    campaign::CampaignMode mode;
+    std::size_t sample;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"p34392", campaign::CampaignMode::Single, 6, 0x22f5c33972f77aa7ULL},
+      {"t512505", campaign::CampaignMode::Single, 6, 0x9016a845b62b83bfULL},
+      {"MBIST_1_5_20", campaign::CampaignMode::Single, 64, 0x99748eb7f190a048ULL},
+      {"fig1", campaign::CampaignMode::Pairs, 12, 0x32d29f808f7fd436ULL},
+      {"fig1", campaign::CampaignMode::Transient, 0, 0xe9ce1f1cfc3b8962ULL},
+  };
+  const std::size_t kThreadCounts[] = {1, 2, 4};
+  for (const Pin& pin : pins) {
+    const std::string design = pin.design;
+    const rsn::Network net = design == "fig1"
+                                 ? rsn::makeFig1Network()
+                                 : benchgen::buildBenchmark(design);
+    campaign::CampaignConfig config;
+    config.mode = pin.mode;
+    config.sample = pin.sample;
+    config.seed = 2022;
+    for (const std::size_t threads : kThreadCounts) {
+      setThreadCount(threads);
+      EXPECT_EQ(reportDigest(net, runCampaign(net, config)), pin.digest)
+          << design << " " << campaign::campaignModeName(pin.mode) << " at "
+          << threads << " threads";
+    }
+  }
+  setThreadCount(0);
 }
 
 // ------------------------------------------------------ pair campaigns

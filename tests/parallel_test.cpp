@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "benchgen/registry.hpp"
+#include "campaign/campaign.hpp"
 #include "crit/analyzer.hpp"
 #include "diag/diagnosis.hpp"
 #include "harden/hardening.hpp"
@@ -280,6 +281,44 @@ TEST(ParallelDeterminism, Spea2KnnCandidatesMatchAcrossThreadCounts) {
   };
   const std::uint64_t serial = withThreads(1, run);
   EXPECT_GT(serial, 0u);
+  EXPECT_EQ(withThreads(2, run), serial);
+  EXPECT_EQ(withThreads(4, run), serial);
+}
+
+TEST(ParallelDeterminism, CampaignRerouteSearchesMatchAcrossThreadCounts) {
+  // sim.reroute_searches counts the accesses whose nominal recipe failed
+  // and which ran the reroute enumeration: a function of the sampled
+  // scenarios only, never of the pool width or of how the instrument
+  // blocks land on workers.  t512505's stuck(core_35=0) reroutes almost
+  // every access and spreads over nine blocks.
+  const rsn::Network net = benchgen::buildBenchmark("t512505");
+  campaign::CampaignConfig config;
+  config.sample = 6;
+  config.seed = 2022;
+  const char* const kCounters[] = {"sim.reroute_searches", "sim.reroutes",
+                                   "sim.accesses", "sim.csu_rounds",
+                                   "campaign.probes"};
+  const auto run = [&] {
+    const auto read = [&](const obs::Snapshot& snap) {
+      std::vector<std::uint64_t> values;
+      for (const char* name : kCounters) {
+        std::uint64_t n = 0;
+        for (const auto& [id, v] : snap.counters)
+          if (snap.names[id] == name) n += v;
+        values.push_back(n);
+      }
+      return values;
+    };
+    obs::enable();
+    const std::vector<std::uint64_t> before = read(obs::snapshot());
+    (void)campaign::CampaignEngine(net, config).run();
+    std::vector<std::uint64_t> work = read(obs::snapshot());
+    obs::disable();
+    for (std::size_t k = 0; k < work.size(); ++k) work[k] -= before[k];
+    return work;
+  };
+  const std::vector<std::uint64_t> serial = withThreads(1, run);
+  EXPECT_GT(serial[0], 0u);
   EXPECT_EQ(withThreads(2, run), serial);
   EXPECT_EQ(withThreads(4, run), serial);
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harden/fault_tolerant.hpp"
+#include "rsn/builder.hpp"
 #include "rsn/example_networks.hpp"
 #include "sim/retarget.hpp"
 #include "sim/simulator.hpp"
@@ -479,6 +482,206 @@ TEST(Transient, ResetConfigurationRecoversThePath) {
   ASSERT_TRUE(sim.activePath().has_value());
   ASSERT_EQ(sim.injectedFaults().size(), 1u);
   EXPECT_EQ(sim.injectedFaults().front(), keep);
+}
+
+// ------------------------------------------------- CSU closed form
+
+using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// The clock-by-clock CSU shift the closed form replaced, kept as its
+/// oracle: the capture poisons the broken cells, then every clock emits
+/// the scan-out cell, moves the register one index up, loads the next
+/// input bit at index 0 and re-poisons the broken ranges.
+std::vector<Bit> shiftClockByClock(std::vector<Bit>& reg, const Ranges& broken,
+                                   const std::vector<Bit>& in) {
+  const auto poison = [&]() {
+    for (const auto& [first, last] : broken)
+      for (std::size_t i = first; i < last; ++i) reg[i] = Bit::X;
+  };
+  poison();
+  std::vector<Bit> out;
+  for (std::size_t t = 0; t < in.size(); ++t) {
+    out.push_back(reg.back());
+    for (std::size_t i = reg.size() - 1; i > 0; --i) reg[i] = reg[i - 1];
+    reg[0] = in[t];
+    poison();
+  }
+  return out;
+}
+
+Bit randomBit(Rng& rng) {
+  return rng.chance(0.2) ? Bit::X : bitOf(rng.chance(0.5));
+}
+
+std::vector<Bit> randomBits(Rng& rng, std::size_t n) {
+  std::vector<Bit> out(n);
+  for (Bit& b : out) b = randomBit(rng);
+  return out;
+}
+
+TEST(CsuClosedForm, MatchesClockByClockShift) {
+  // Random paths of 0-6 segments of length 0-5 (so B = 0 and zero-length
+  // segments occur), 0-3 of them broken, X in the captured content and
+  // in the shift-in stream.
+  Rng rng(2022);
+  std::size_t emptyPaths = 0, emptyBroken = 0, multiBroken = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Ranges segments;
+    std::size_t bitsTotal = 0;
+    const auto count = static_cast<std::size_t>(rng.range(0, 6));
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto len = static_cast<std::size_t>(rng.range(0, 5));
+      segments.emplace_back(bitsTotal, bitsTotal + len);
+      bitsTotal += len;
+    }
+    std::shuffle(segments.begin(), segments.end(), rng);
+    const std::size_t brokenCount = std::min<std::size_t>(
+        segments.size(), static_cast<std::size_t>(rng.range(0, 3)));
+    const Ranges broken(segments.begin(),
+                        segments.begin() +
+                            static_cast<std::ptrdiff_t>(brokenCount));
+    emptyPaths += bitsTotal == 0 ? 1 : 0;
+    multiBroken += brokenCount > 1 ? 1 : 0;
+    for (const auto& [first, last] : broken)
+      emptyBroken += first == last ? 1 : 0;
+
+    const std::vector<Bit> captured = randomBits(rng, bitsTotal);
+    const std::vector<Bit> in = randomBits(rng, bitsTotal);
+    std::vector<Bit> expectReg = captured;
+    const std::vector<Bit> expectOut = shiftClockByClock(expectReg, broken, in);
+    std::vector<Bit> reg = captured;
+    const std::vector<Bit> out = ScanSimulator::shiftThrough(reg, broken, in);
+    ASSERT_EQ(toString(out), toString(expectOut)) << "trial " << trial;
+    ASSERT_EQ(toString(reg), toString(expectReg)) << "trial " << trial;
+  }
+  EXPECT_GT(emptyPaths, 0u);
+  EXPECT_GT(emptyBroken, 0u);
+  EXPECT_GT(multiBroken, 0u);
+}
+
+// Simulator level: every CSU round on random networks with 0-3 broken
+// segments, X-carrying instrument values and shift-in streams, and a
+// pending transient upset must leave every segment's shift and update
+// register exactly where a clock-by-clock reference model puts them.
+class CsuReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CsuReference, EveryRegisterMatchesTheClockByClockModel) {
+  Rng rng(GetParam() * 53 + 9);
+  test::RandomNetOptions opt;
+  opt.targetSegments = 24;
+  const rsn::Network net = test::randomNetwork(rng, opt);
+  const std::size_t segs = net.segments().size();
+
+  ScanSimulator sim(net);
+  std::vector<fault::Fault> faults;
+  const auto breaks = static_cast<std::size_t>(rng.range(0, 3));
+  for (std::size_t k = 0; k < breaks; ++k)
+    faults.push_back(Fault::segmentBreak(
+        static_cast<rsn::SegmentId>(rng.below(segs))));
+  sim.injectFaults(faults);
+  const TransientUpset upset{static_cast<rsn::SegmentId>(rng.below(segs)),
+                             static_cast<std::uint32_t>(rng.range(0, 3))};
+  sim.armTransientUpset(upset);
+
+  // The reference model: shift and update registers of every segment
+  // plus the instrument values the captures read.
+  std::vector<std::vector<Bit>> shift(segs), update(segs), captureValue(segs);
+  for (rsn::SegmentId s = 0; s < segs; ++s) {
+    shift[s] = update[s] = std::vector<Bit>(net.segment(s).length, Bit::Zero);
+  }
+  for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
+    if (!rng.chance(0.5)) continue;
+    const rsn::SegmentId s = net.instrument(i).segment;
+    captureValue[s] = randomBits(rng, net.segment(s).length);
+    sim.setInstrumentValue(i, captureValue[s]);
+  }
+  const auto broken = [&](rsn::SegmentId s) {
+    return std::any_of(faults.begin(), faults.end(),
+                       [&](const Fault& f) { return f.prim == s; });
+  };
+
+  for (std::uint32_t round = 0; round < 6; ++round) {
+    const auto path = sim.activePath();
+    if (!path) break;  // an address register went X
+    std::vector<Bit> reg;
+    Ranges brokenRanges;
+    for (rsn::SegmentId s : path->segments) {
+      const auto& captured =
+          captureValue[s].empty() ? update[s] : captureValue[s];
+      if (broken(s)) brokenRanges.emplace_back(reg.size(), reg.size() + captured.size());
+      reg.insert(reg.end(), captured.begin(), captured.end());
+    }
+    // Mostly known bits so the configuration keeps changing, some X.
+    const std::vector<Bit> in = randomBits(rng, path->totalBits);
+    const std::vector<Bit> expectOut = shiftClockByClock(reg, brokenRanges, in);
+    std::size_t offset = 0;
+    for (rsn::SegmentId s : path->segments) {
+      const auto len = static_cast<std::ptrdiff_t>(net.segment(s).length);
+      shift[s].assign(reg.begin() + static_cast<std::ptrdiff_t>(offset),
+                      reg.begin() + static_cast<std::ptrdiff_t>(offset) + len);
+      update[s] = shift[s];
+      offset += net.segment(s).length;
+    }
+    if (round == upset.round) {
+      std::fill(shift[upset.segment].begin(), shift[upset.segment].end(), Bit::X);
+      std::fill(update[upset.segment].begin(), update[upset.segment].end(),
+                Bit::X);
+    }
+
+    const std::vector<Bit> out = sim.csu(in);
+    ASSERT_EQ(toString(out), toString(expectOut)) << "round " << round;
+    EXPECT_EQ(sim.transientPending(), round < upset.round);
+    for (rsn::SegmentId s = 0; s < segs; ++s) {
+      ASSERT_EQ(toString(sim.segmentShift(s)), toString(shift[s]))
+          << "round " << round << " segment " << net.segment(s).name;
+      ASSERT_EQ(toString(sim.segmentUpdate(s)), toString(update[s]))
+          << "round " << round << " segment " << net.segment(s).name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsuReference,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(Simulator, WideControlRegisterNeverWrapsOntoABranch) {
+  // A 70-bit address register: bits 32-63 used to be truncated away
+  // (2^32 + 1 selected branch 1) and bits from 64 on were never read
+  // (an X there was ignored).
+  rsn::NetworkBuilder b("wide");
+  const auto ctl = b.segment("ctl", 70);
+  const auto mux =
+      b.mux("m", {b.segment("a", 2, "ia"), b.segment("b", 3, "ib")}, "ctl");
+  b.setTop(b.chain({ctl, mux}));
+  const rsn::Network net = b.build();
+  const rsn::MuxId m = net.findMux("m");
+  ScanSimulator sim(net);
+
+  // Loads the address register through one raw CSU round from reset
+  // (the reset path is ctl followed by branch a).
+  const auto load = [&](const std::vector<std::size_t>& ones,
+                        std::optional<std::size_t> xAt) {
+    sim.reset();
+    const auto path = sim.activePath();
+    EXPECT_TRUE(path);
+    std::vector<Bit> image(path->totalBits, Bit::Zero);
+    for (const std::size_t k : ones) image[k] = Bit::One;
+    if (xAt) image[*xAt] = Bit::X;
+    sim.csu(ScanSimulator::shiftInForImage(image));
+    return sim.muxSelection(m);
+  };
+
+  EXPECT_EQ(load({0}, std::nullopt), 1u);
+  ASSERT_TRUE(sim.activePath());
+  EXPECT_EQ(load({0, 32}, std::nullopt), kOutOfRangeSelection);
+  EXPECT_FALSE(sim.activePath());
+  EXPECT_EQ(load({40}, std::nullopt), kOutOfRangeSelection);
+  EXPECT_EQ(load({69}, std::nullopt), kOutOfRangeSelection);
+  EXPECT_EQ(load({0}, 66), kInvalidSelection);
+  EXPECT_FALSE(sim.activePath());
+  // X wins over an out-of-range value, wherever it sits.
+  EXPECT_EQ(load({0, 32}, 66), kInvalidSelection);
+  EXPECT_EQ(load({33}, 5), kInvalidSelection);
+  EXPECT_THROW(sim.csu({}), ValidationError);
 }
 
 }  // namespace
