@@ -62,7 +62,9 @@ std::uint64_t campaignFingerprint(const rsn::Network& net,
       fnvMix(h, static_cast<std::uint64_t>(round));
   }
   fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxRounds));
-  fnvMix(h, static_cast<std::uint64_t>(config.retarget.allowReroute ? 1 : 0));
+  // Whether the campaign reroutes at all, in its own slot, so existing
+  // checkpoints of rerouting configurations keep their fingerprints.
+  fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxReroutes != 0));
   fnvMix(h, static_cast<std::uint64_t>(config.retarget.maxReroutes));
   fnvMix(h, bitsToString(config.excludePrimitives));
   return h;

@@ -16,6 +16,51 @@ namespace {
 constexpr std::size_t kAlpha = 15;
 constexpr std::size_t kBeta = 18;
 
+/// Trailing-word mask that keeps bits [0, arity % 64) — all-ones when
+/// the arity fills the word.
+std::uint64_t tailMask(std::uint32_t arity, std::size_t word) {
+  const std::size_t hi = (static_cast<std::size_t>(arity) + 63) / 64 - 1;
+  if (word < hi || arity % 64 == 0) return ~0ULL;
+  return (1ULL << (arity % 64)) - 1;
+}
+
+/// Fills `sel` (selWordCount words) with the base selectable sets under
+/// `f` (nullptr = fault-free): every branch selectable, except a stuck
+/// mux which keeps only its stuck branch.
+void baseSelectable(const rsn::FlatNetwork& net, const fault::Fault* f,
+                    std::uint64_t* sel) {
+  const auto arity = net.muxArity();
+  const auto selOffset = net.selOffset();
+  for (std::size_t m = 0; m < arity.size(); ++m) {
+    const std::size_t words = (static_cast<std::size_t>(arity[m]) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w)
+      sel[selOffset[m] + w] = tailMask(arity[m], w);
+  }
+  if (f != nullptr && f->kind == fault::FaultKind::MuxStuck) {
+    const std::uint32_t m = f->prim;
+    const std::size_t words = (static_cast<std::size_t>(arity[m]) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w) sel[selOffset[m] + w] = 0;
+    sel[selOffset[m] + (f->stuckBranch >> 6)] = 1ULL << (f->stuckBranch & 63);
+  }
+}
+
+/// Clears the non-reset branches of every segment-controlled mux whose
+/// demand would be written in a CSU round >= maxDepth — i.e. keeps only
+/// the demands that are fully configured before round maxDepth runs.
+/// Shrink-only, so it composes with the fixpoint.
+void limitDemandDepth(const rsn::FlatNetwork& net, std::uint32_t maxDepth,
+                      std::uint64_t* sel) {
+  const auto arity = net.muxArity();
+  const auto selOffset = net.selOffset();
+  const auto demandDepth = net.demandDepth();
+  for (const std::uint32_t m : net.ctrlMuxes()) {
+    if (demandDepth[m] <= maxDepth) continue;
+    const std::size_t words = (static_cast<std::size_t>(arity[m]) + 63) / 64;
+    for (std::size_t w = 0; w < words; ++w)
+      sel[selOffset[m] + w] &= w == 0 ? 1ULL : 0ULL;
+  }
+}
+
 }  // namespace
 
 std::size_t Syndrome::distanceTo(const Syndrome& other) const {
@@ -44,18 +89,20 @@ BatchedSyndromeEngine::BatchedSyndromeEngine(const rsn::Network& net)
 
 BatchedSyndromeEngine::BatchedSyndromeEngine(
     std::shared_ptr<const rsn::FlatNetwork> flat)
-    : cv_(sim::ControlView::project(std::move(flat))),
-      instruments_(cv_.instrumentVertex.size()) {
+    : flat_(std::move(flat)) {
+  RRSN_CHECK(flat_ != nullptr, "batched engine needs a flat view");
+  instruments_ = flat_->instrumentCount();
+  const std::size_t vertices = flat_->vertexCount();
   scratch_.resize(threadCount());
   for (Scratch& s : scratch_) {
-    s.sel.assign(cv_.selWordCount, 0);
-    s.inStrict = DynamicBitset(cv_.vertexCount);
-    s.outStrict = DynamicBitset(cv_.vertexCount);
-    s.inRead = DynamicBitset(cv_.vertexCount);
-    s.outWrite = DynamicBitset(cv_.vertexCount);
-    s.cleanToOut = DynamicBitset(cv_.vertexCount);
-    s.cleanFromB = DynamicBitset(cv_.vertexCount);
-    s.bwdFromB = DynamicBitset(cv_.vertexCount);
+    s.sel.assign(flat_->selWordCount(), 0);
+    s.inStrict = DynamicBitset(vertices);
+    s.outStrict = DynamicBitset(vertices);
+    s.inRead = DynamicBitset(vertices);
+    s.outWrite = DynamicBitset(vertices);
+    s.cleanToOut = DynamicBitset(vertices);
+    s.cleanFromB = DynamicBitset(vertices);
+    s.bwdFromB = DynamicBitset(vertices);
   }
 }
 
@@ -66,12 +113,15 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
   // Edges are walked source-side in top-down steps and target-side in
   // bottom-up sweeps; the annotation of a row entry always describes
   // the original edge, so admissibility reads the same from both sides.
-  const auto& outOff = forward ? cv_.fwdOffsets : cv_.bwdOffsets;
-  const auto& outEdges = forward ? cv_.fwdEdges : cv_.bwdEdges;
-  const auto& inOff = forward ? cv_.bwdOffsets : cv_.fwdOffsets;
-  const auto& inEdges = forward ? cv_.bwdEdges : cv_.fwdEdges;
-  if (source == graph::kNoVertex) source = forward ? cv_.scanIn : cv_.scanOut;
-  const std::size_t vertices = cv_.vertexCount;
+  const rsn::FlatNetwork& net = *flat_;
+  const auto outOff = forward ? net.fwdOffsets() : net.bwdOffsets();
+  const auto outEdges = forward ? net.fwdEdges() : net.bwdEdges();
+  const auto inOff = forward ? net.bwdOffsets() : net.fwdOffsets();
+  const auto inEdges = forward ? net.bwdEdges() : net.fwdEdges();
+  const auto ctrlReg = net.ctrlRegVertex();
+  if (source == graph::kNoVertex)
+    source = forward ? net.scanIn() : net.scanOut();
+  const std::size_t vertices = net.vertexCount();
   const auto outDeg = [&](graph::VertexId v) {
     return static_cast<std::size_t>(outOff[v + 1] - outOff[v]);
   };
@@ -108,11 +158,11 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
                 static_cast<std::size_t>(__builtin_ctzll(unvisited)));
             unvisited &= unvisited - 1;
             if (!tolerate && u == brokenV) continue;
-            if (avoidCtrlRegs && cv_.ctrlRegVertex[u] != 0) continue;
+            if (avoidCtrlRegs && ctrlReg[u] != 0) continue;
             for (std::uint32_t i = inOff[u]; i < inOff[u + 1]; ++i) {
-              const sim::ControlView::Edge& e = inEdges[i];
+              const rsn::FlatNetwork::Edge& e = inEdges[i];
               if (!visited.test(e.other)) continue;
-              if (!cv_.edgeOpen(e, sel)) continue;
+              if (!net.edgeOpen(e, sel)) continue;
               visited.set(u);
               s.next.push_back(u);
               nextScout += outDeg(u);
@@ -133,13 +183,13 @@ void BatchedSyndromeEngine::sweep(bool forward, const std::uint64_t* sel,
     std::size_t nextScout = 0;
     for (const graph::VertexId v : s.queue) {
       for (std::uint32_t i = outOff[v]; i < outOff[v + 1]; ++i) {
-        const sim::ControlView::Edge& e = outEdges[i];
+        const rsn::FlatNetwork::Edge& e = outEdges[i];
         const graph::VertexId u = e.other;
         // v is visited, hence never the broken vertex when !tolerate.
         if (visited.test(u)) continue;
         if (!tolerate && u == brokenV) continue;
-        if (avoidCtrlRegs && cv_.ctrlRegVertex[u] != 0) continue;
-        if (!cv_.edgeOpen(e, sel)) continue;
+        if (avoidCtrlRegs && ctrlReg[u] != 0) continue;
+        if (!net.edgeOpen(e, sel)) continue;
         visited.set(u);
         s.next.push_back(u);
         nextScout += outDeg(u);
@@ -161,21 +211,25 @@ void BatchedSyndromeEngine::runFixpoint(const fault::Fault* f,
   const std::uint32_t stuckMux =
       f != nullptr && f->kind == fault::FaultKind::MuxStuck ? f->prim
                                                            : rsn::kNone;
+  const rsn::FlatNetwork& net = *flat_;
+  const auto ctrlVertex = net.muxCtrlVertex();
+  const auto arity = net.muxArity();
+  const auto selOffset = net.selOffset();
+  const auto representable = net.representableWords();
   for (;;) {
     sweep(/*forward=*/true, s.sel.data(), /*tolerate=*/false, brokenV,
           graph::kNoVertex, /*avoidCtrlRegs=*/false, s.inStrict, s);
     bool changed = false;
-    for (const std::uint32_t m : cv_.ctrlMuxes) {
+    for (const std::uint32_t m : net.ctrlMuxes()) {
       if (m == stuckMux) continue;
-      const bool ctrlReach = s.inStrict.test(cv_.muxCtrlVertex[m]);
-      const std::uint32_t off = cv_.selOffset[m];
-      const std::size_t words =
-          (static_cast<std::size_t>(cv_.muxArity[m]) + 63) / 64;
+      const bool ctrlReach = s.inStrict.test(ctrlVertex[m]);
+      const std::uint32_t off = selOffset[m];
+      const std::size_t words = (static_cast<std::size_t>(arity[m]) + 63) / 64;
       for (std::size_t w = 0; w < words; ++w) {
         // Reachable: keep the representable branches.  Unreachable:
         // keep only the reset branch.  Branch 0 is never cleared.
-        const std::uint64_t mask = ctrlReach ? cv_.representableWords[off + w]
-                                             : (w == 0 ? 1ULL : 0ULL);
+        const std::uint64_t mask =
+            ctrlReach ? representable[off + w] : (w == 0 ? 1ULL : 0ULL);
         const std::uint64_t next = s.sel[off + w] & mask;
         if (next != s.sel[off + w]) {
           s.sel[off + w] = next;
@@ -192,8 +246,9 @@ void BatchedSyndromeEngine::emitInto(Syndrome& row, const DynamicBitset& inRead,
                                      const DynamicBitset& inStrict,
                                      const DynamicBitset& outWrite,
                                      graph::VertexId brokenV) const {
+  const auto instrumentVertex = flat_->instrumentVertex();
   for (std::size_t i = 0; i < instruments_; ++i) {
-    const graph::VertexId v = cv_.instrumentVertex[i];
+    const graph::VertexId v = instrumentVertex[i];
     if (v == brokenV) continue;  // the instrument's own segment is dead
     if (inRead.test(v) && outStrict.test(v)) row.passed.set(2 * i);
     if (inStrict.test(v) && outWrite.test(v)) row.passed.set(2 * i + 1);
@@ -204,15 +259,16 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
                                     std::size_t worker) const {
   RRSN_CHECK(worker < scratch_.size(), "worker lane out of range");
   Scratch& s = scratch_[worker];
+  const rsn::FlatNetwork& net = *flat_;
   const bool isBreak =
       f != nullptr && f->kind == fault::FaultKind::SegmentBreak;
   const graph::VertexId brokenV =
-      isBreak ? cv_.segmentVertex[f->prim] : graph::kNoVertex;
+      isBreak ? net.segmentVertex()[f->prim] : graph::kNoVertex;
 
   Syndrome syn;
   syn.passed = DynamicBitset(2 * instruments_);
 
-  cv_.baseSelectable(f, s.sel.data());
+  baseSelectable(net, f, s.sel.data());
   runFixpoint(f, brokenV, s);
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/false, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outStrict, s);
@@ -243,7 +299,7 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/true, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outWrite, s);
 
-  if (!cv_.segmentControlsMux(f->prim)) {
+  if (!net.segmentControlsMux(f->prim)) {
     // Clean-suffix mode: configuration CSUs may run with the break
     // exposed as long as no mux address register lies downstream of it
     // on the path — the X smeared over the downstream cells is then
@@ -266,8 +322,9 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
             brokenV, /*avoidCtrlRegs=*/true, s.cleanFromB, s);
     }
     if (writeSuffixOk || readPrefixOk) {
+      const auto instrumentVertex = net.instrumentVertex();
       for (std::size_t i = 0; i < instruments_; ++i) {
-        const graph::VertexId v = cv_.instrumentVertex[i];
+        const graph::VertexId v = instrumentVertex[i];
         if (v == brokenV) continue;
         if (readPrefixOk && s.cleanFromB.test(v) && s.cleanToOut.test(v))
           syn.passed.set(2 * i);
@@ -283,7 +340,7 @@ Syndrome BatchedSyndromeEngine::row(const fault::Fault* f,
   // so nothing poisoned is ever consulted.  Re-running the fixpoint
   // re-shrinks branches whose control register the narrower demand set
   // no longer reaches.
-  cv_.limitDemandDepth(cv_.segDepth[f->prim], s.sel.data());
+  limitDemandDepth(net, net.segDepth()[f->prim], s.sel.data());
   runFixpoint(f, brokenV, s);
   sweep(/*forward=*/false, s.sel.data(), /*tolerate=*/false, brokenV,
         graph::kNoVertex, /*avoidCtrlRegs=*/false, s.outStrict, s);

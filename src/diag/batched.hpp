@@ -2,11 +2,12 @@
 //
 // Measuring a row on the simulator retargets 2·N accesses per fault on a
 // fresh simulator — O(|faults| · |instruments|) full path searches that
-// mostly recompute the same reachability.  This engine lowers the
-// network once into a flat control view (sim::ControlView) and derives
-// a fault's *entire* syndrome row from a handful of whole-graph
-// reachability sweeps: forward from scan-in and backward from scan-out,
-// under the fault's selectable-branch sets, with an optional shrinking
+// mostly recompute the same reachability.  This engine reads the flat
+// arena (rsn::FlatNetwork: guarded CSR adjacency, mux control tuples,
+// configuration depths) directly and derives a fault's *entire*
+// syndrome row from a handful of whole-graph reachability sweeps:
+// forward from scan-in and backward from scan-out, under the fault's
+// selectable-branch sets, with an optional shrinking
 // fixpoint that drops mux branches whose address register is itself
 // unreachable under the fault.
 //
@@ -31,7 +32,9 @@
 // This engine is the reference the certifier (verify/certifier.hpp) is
 // replayed against under RRSN_CERTIFY_MODE=checked; production rows
 // (fault dictionary, campaign oracle) come from the certifier.  It
-// builds in rrsn_verify, the only library that replays it.
+// builds in rrsn_verify, the only library that replays it, and like the
+// certifier it depends on the arena alone — never on the simulator it
+// is compared with.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +44,6 @@
 #include "fault/fault.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
-#include "sim/control_view.hpp"
 #include "support/bitset.hpp"
 
 namespace rrsn::diag {
@@ -113,7 +115,7 @@ class BatchedSyndromeEngine {
                 const DynamicBitset& outStrict, const DynamicBitset& inStrict,
                 const DynamicBitset& outWrite, graph::VertexId brokenV) const;
 
-  sim::ControlView cv_;
+  std::shared_ptr<const rsn::FlatNetwork> flat_;
   std::size_t instruments_ = 0;
   mutable std::vector<Scratch> scratch_;
 };

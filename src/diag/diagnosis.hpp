@@ -64,8 +64,8 @@ class FaultDictionary {
  public:
   /// Lowers the network once and projects the certifier's exact run
   /// (Certifier::runExact) into syndrome rows.  The certifier fans the
-  /// fault universe out over the process thread pool (RRSN_THREADS /
-  /// RRSN_GRAIN); the dictionary is byte-identical for any thread count.
+  /// fault universe out over the process thread pool (RRSN_THREADS);
+  /// the dictionary is byte-identical for any thread count.
   static FaultDictionary build(const rsn::Network& net);
 
   const rsn::Network& network() const { return *net_; }

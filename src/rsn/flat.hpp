@@ -5,7 +5,8 @@
 // and validate, but every graph consumer — the analysis kernels
 // (criticality, certifier, campaign oracles, SPEA-2 fitness assembly),
 // the retargeter's path search, the graph-walk oracle and lint — wants
-// contiguous id-indexed arrays it can stream with no pointer chasing.
+// contiguous id-indexed arrays it can stream with no pointer chasing,
+// and reads them straight from this class.
 // lower() walks the Structure tree once and emits a single relocatable
 // buffer — one bump-allocated arena holding every derived array:
 //
@@ -17,7 +18,8 @@
 //   * per-instrument: segment, vertex, damage weights (zero unless a
 //     CriticalitySpec is given at lowering time);
 //   * data graph: forward and transposed CSR adjacency whose edges carry
-//     the mux guard annotation (sim::ControlView projects these);
+//     the mux guard annotation (edgeOpen() evaluates it against a
+//     fault's selectable-branch words);
 //   * control-dependency graph: CSR from each segment to the muxes it
 //     addresses;
 //   * per-vertex: control-register flag, owning mux.
@@ -56,7 +58,8 @@
 namespace rrsn::rsn {
 
 /// Frozen flat view of one network.  Create with lower(); share by
-/// shared_ptr (consumers keep the arena alive through their projection).
+/// shared_ptr (every consumer holds one, which keeps the arena alive).
+/// Immutable, so one view is read concurrently by every worker thread.
 class FlatNetwork {
  public:
   /// Read-only view into one arena section.
@@ -177,6 +180,11 @@ class FlatNetwork {
   static constexpr std::uint8_t kSegFlagSib = 1;
   static constexpr std::uint8_t kSegFlagControlsMux = 2;
 
+  /// True iff some mux's address register is segment s.
+  bool segmentControlsMux(SegmentId s) const {
+    return (segFlags_[s] & kSegFlagControlsMux) != 0;
+  }
+
   // ---------------------------------------------------------- per mux
   Span<std::uint32_t> muxControl() const { return muxControl_; }
   Span<graph::VertexId> muxCtrlVertex() const { return muxCtrlVertex_; }
@@ -186,7 +194,16 @@ class FlatNetwork {
   graph::VertexId fanoutVertex(std::size_t m) const {
     return muxVertex_[m] + 1;
   }
+  /// Configuration-round schedule: a non-reset demand on mux m is
+  /// written in CSU round demandDepth[m] - 1, and segDepth[s] is the
+  /// round at which segment s first joins the path (the max demandDepth
+  /// over its guards).  TAP-steered muxes have depth 0; cyclic control
+  /// dependencies saturate at kUnrealizableDepth.
   Span<std::uint32_t> demandDepth() const { return demandDepth_; }
+  /// Selectable-set word layout: mux m owns the words [selOffset[m],
+  /// selOffset[m] + (muxArity[m] + 63) / 64), bit b = branch b.  The
+  /// per-fault sets live in caller-owned buffers of selWordCount()
+  /// words.
   Span<std::uint32_t> selOffset() const { return selOffset_; }
   /// Branch-exit CSR: branch b of mux m exits at
   /// muxBranchExit[muxBranchOffsets[m] + b].
@@ -197,6 +214,12 @@ class FlatNetwork {
   /// Per-mux address-representability masks in the selectable layout.
   Span<std::uint64_t> representableWords() const { return representableWords_; }
   std::size_t selWordCount() const { return representableWords_.size(); }
+
+  /// Branch `branch` of mux `mux` in selectable-layout words `sel`.
+  bool selectableBit(const std::uint64_t* sel, std::uint32_t mux,
+                     std::uint32_t branch) const {
+    return (sel[selOffset_[mux] + (branch >> 6)] >> (branch & 63)) & 1;
+  }
 
   // -------------------------------------------------- control graph
   /// Control-dependency CSR: segment s addresses the muxes
@@ -216,6 +239,14 @@ class FlatNetwork {
   Span<std::uint32_t> bwdOffsets() const { return bwdOffsets_; }
   Span<Edge> bwdEdges() const { return bwdEdges_; }
   Span<std::uint32_t> branchPool() const { return branchPool_; }
+
+  /// Guard admissibility of one edge under the selectable sets `sel`.
+  bool edgeOpen(const Edge& e, const std::uint64_t* sel) const {
+    if (e.mux == kNone) return true;
+    for (std::uint32_t i = e.branchBegin; i < e.branchEnd; ++i)
+      if (selectableBit(sel, e.mux, branchPool_[i])) return true;
+    return false;
+  }
 
   // -------------------------------------------------------- per vertex
   /// Nonzero iff the vertex holds some mux's address register.

@@ -480,8 +480,7 @@ RetargetResult Retargeter::access(rsn::SegmentId seg,
   // fails (most accesses under a single defect never need it).
   const std::optional<Selections>& nominal = nominalSelections(seg);
   const bool done = nominal && tryRecipe(*nominal, false);
-  if (!done && !faults.empty() && options_.allowReroute &&
-      options_.maxReroutes != 0) {
+  if (!done && !faults.empty() && options_.maxReroutes != 0) {
     obs::count(kSearches);
     forEachReroute(*flat_, faults, seg, breakBeforeSegTolerable,
                    options_.maxReroutes, nominal ? &*nominal : nullptr,

@@ -38,11 +38,10 @@ struct RetargetOptions {
   /// CSU rounds allowed per realizeSelections attempt; 0 = automatic
   /// (deepest mux nesting + 2, enough for any healthy access).
   std::size_t maxRounds = 0;
-  /// After the nominal (fault-unaware) recipe fails, search for
-  /// alternative scan paths that route around the injected fault.
-  bool allowReroute = true;
-  /// Alternative-path realizations attempted per access; caps both the
-  /// path enumeration and the CSU work spent on graceful degradation.
+  /// Alternative-path realizations attempted per access after the
+  /// nominal (fault-unaware) recipe fails; caps both the path
+  /// enumeration and the CSU work spent on graceful degradation.  0 =
+  /// never reroute around an injected fault.
   std::size_t maxReroutes = 8;
 
   /// A copy with an automatic maxRounds replaced by its value for `net`.
@@ -95,8 +94,8 @@ class Retargeter {
   RetargetResult realizeSelections(const Selections& selections);
 
   /// Every access tries the nominal (fault-unaware) recipe first and
-  /// enumerates fault-aware reroutes only if it fails
-  /// (RetargetOptions::allowReroute); the counter `sim.reroute_searches`
+  /// enumerates fault-aware reroutes only if it fails (at most
+  /// RetargetOptions::maxReroutes); the counter `sim.reroute_searches`
   /// counts the accesses that ran that enumeration.
   ///
   /// End-to-end read: configures a path through instrument i's segment,

@@ -79,11 +79,6 @@ void ScanSimulator::injectFaults(std::vector<fault::Fault> faults) {
   faults_ = std::move(faults);
 }
 
-void ScanSimulator::addFault(const fault::Fault& f) {
-  checkFault(f);
-  faults_.push_back(f);
-}
-
 void ScanSimulator::reset() {
   // Every retargeted access starts with a reset, so it refills only the
   // registers written since the last one, in place: segments outside

@@ -84,16 +84,7 @@ class ScanSimulator {
   /// previous ones).  Two stuck faults on the same mux are contradictory
   /// hardware; the first one in the list wins deterministically.
   void injectFaults(std::vector<fault::Fault> faults);
-  /// Adds one more simultaneous permanent fault.
-  void addFault(const fault::Fault& f);
-  void clearFault() { faults_.clear(); }
   const std::vector<fault::Fault>& injectedFaults() const { return faults_; }
-  /// The first injected fault, if any — the single-fault view used by
-  /// call sites predating multi-fault campaigns.
-  std::optional<fault::Fault> injectedFault() const {
-    return faults_.empty() ? std::nullopt
-                           : std::optional<fault::Fault>(faults_.front());
-  }
 
   /// Arms a one-shot transient upset (replacing any pending one) and
   /// restarts the CSU round counter it is measured against.

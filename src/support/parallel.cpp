@@ -17,33 +17,28 @@ namespace rrsn {
 
 namespace {
 
-/// Reads one environment count through the strict parser and warns on
-/// stderr once per variable when the value was rejected or clamped —
-/// a silently mis-parsed RRSN_THREADS turns every "parallel" run serial
+/// RRSN_THREADS through the strict parser, or hardware_concurrency.
+/// Warns on stderr once when the value was rejected or clamped — a
+/// silently mis-parsed RRSN_THREADS turns every "parallel" run serial
 /// (or worse), so the correction must be visible.
-std::size_t envCountOr(const char* name, std::size_t fallback, std::size_t lo,
-                       std::size_t hi, bool* warnedOnce) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at pool
-  // construction; nothing in the process calls setenv.
-  const char* text = std::getenv(name);
-  const detail::EnvParse p = detail::parseEnvCount(text, fallback, lo, hi);
-  if ((p.usedFallback && text != nullptr && *text != '\0') || p.clamped) {
-    if (!*warnedOnce) {
-      *warnedOnce = true;
-      std::fprintf(stderr,
-                   "rrsn: warning: %s=\"%s\" is %s; using %zu\n", name, text,
-                   p.clamped ? "out of range" : "not a positive integer",
-                   p.value);
-    }
-  }
-  return p.value;
-}
-
 std::size_t threadsFromEnvironment() {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t fallback = hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv at pool
+  // construction; nothing in the process calls setenv.
+  const char* text = std::getenv("RRSN_THREADS");
+  const detail::EnvParse p =
+      detail::parseEnvCount(text, fallback, 1, detail::kMaxThreads);
   static bool warned = false;
-  return envCountOr("RRSN_THREADS", fallback, 1, detail::kMaxThreads, &warned);
+  if (((p.usedFallback && text != nullptr && *text != '\0') || p.clamped) &&
+      !warned) {
+    warned = true;
+    std::fprintf(stderr,
+                 "rrsn: warning: RRSN_THREADS=\"%s\" is %s; using %zu\n", text,
+                 p.clamped ? "out of range" : "not a positive integer",
+                 p.value);
+  }
+  return p.value;
 }
 
 /// One parallel region in flight.  Chunks are claimed from an atomic
@@ -214,14 +209,6 @@ std::size_t threadCount() { return Pool::instance().threads(); }
 
 void setThreadCount(std::size_t n) { Pool::instance().resize(n); }
 
-std::size_t defaultGrain() {
-  static const std::size_t grain = [] {
-    static bool warned = false;
-    return envCountOr("RRSN_GRAIN", 16, 1, detail::kMaxGrain, &warned);
-  }();
-  return grain;
-}
-
 namespace detail {
 
 EnvParse parseEnvCount(const char* text, std::size_t fallback, std::size_t lo,
@@ -284,7 +271,7 @@ std::size_t chunkGrid(std::size_t n, std::size_t grain) {
   // dispatch overhead beats any parallel win; large inputs get enough
   // chunks for load balancing on any realistic machine.
   constexpr std::size_t kMaxChunks = 256;  // caps scheduling overhead
-  if (grain == 0) grain = defaultGrain();
+  if (grain == 0) grain = kDefaultGrain;
   if (n < 2 * grain) return 1;
   return std::min(kMaxChunks, n / grain);
 }

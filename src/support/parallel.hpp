@@ -79,12 +79,12 @@ std::size_t threadCount();
 void setThreadCount(std::size_t n);
 
 /// Default minimum number of indices per chunk before a primitive fans
-/// out (the RRSN_GRAIN environment variable; 16 when unset).  Inputs
-/// smaller than twice the grain run serially on the caller — per-task
-/// dispatch overhead (~µs) otherwise dominates sub-millisecond sweeps,
-/// making the pooled run *slower* than the serial one.  Call sites with
-/// cheap per-index bodies should pass an explicit larger grain.
-std::size_t defaultGrain();
+/// out.  Inputs smaller than twice the grain run serially on the caller
+/// — per-task dispatch overhead (~µs) otherwise dominates
+/// sub-millisecond sweeps, making the pooled run *slower* than the
+/// serial one.  Call sites with cheap per-index bodies should pass an
+/// explicit larger grain.
+inline constexpr std::size_t kDefaultGrain = 16;
 
 namespace detail {
 
@@ -95,8 +95,8 @@ struct EnvParse {
   bool clamped = false;       ///< text was numeric but outside [lo, hi]
 };
 
-/// Strict parser for positive environment counts (RRSN_THREADS,
-/// RRSN_GRAIN).  `text` may be null (unset variable).  Accepts only a
+/// Strict parser for positive environment counts (RRSN_THREADS).
+/// `text` may be null (unset variable).  Accepts only a
 /// full decimal integer; garbage, trailing characters, empty strings,
 /// zero and negative values fall back to `fallback`, while values
 /// outside [lo, hi] (including overflow) clamp to the nearest bound.
@@ -104,12 +104,9 @@ struct EnvParse {
 EnvParse parseEnvCount(const char* text, std::size_t fallback, std::size_t lo,
                        std::size_t hi);
 
-/// Bounds enforced on the environment knobs.  A thread count above the
-/// cap only adds context-switch thrash (the pool caps chunk counts at
-/// 256 anyway); a grain above the cap would force every realistic input
-/// serial, which is indistinguishable from a typo.
+/// Cap on RRSN_THREADS.  A thread count above it only adds
+/// context-switch thrash (the pool caps chunk counts at 256 anyway).
 inline constexpr std::size_t kMaxThreads = 1024;
-inline constexpr std::size_t kMaxGrain = std::size_t{1} << 24;
 
 /// Runs body(chunk, worker) for every chunk in [0, chunks); worker is in
 /// [0, threadCount()) and identifies the executing lane for scratch
@@ -127,7 +124,7 @@ void runChunks(std::size_t chunks,
 /// Chunk grid used by every primitive: a function of `n` and the grain
 /// only (never of the pool size), so that per-chunk partial results do
 /// not depend on the thread count.  `grain` is the minimum indices per
-/// chunk; 0 means defaultGrain().  Returns 1 (serial fallback) when the
+/// chunk; 0 means kDefaultGrain.  Returns 1 (serial fallback) when the
 /// input is below twice the grain.
 std::size_t chunkGrid(std::size_t n, std::size_t grain = 0);
 
@@ -143,7 +140,7 @@ inline std::pair<std::size_t, std::size_t> chunkRange(std::size_t n,
 /// Deterministic parallel loop: fn(i) for every i in [0, n), in
 /// unspecified order.  fn must only write state owned by index i.
 /// `grain` is the minimum work (indices) per chunk — inputs below twice
-/// the grain fall back to the plain serial loop; 0 uses defaultGrain().
+/// the grain fall back to the plain serial loop; 0 uses kDefaultGrain.
 template <typename Fn>
 void parallelFor(std::size_t n, Fn&& fn, std::size_t grain = 0) {
   if (n == 0) return;

@@ -303,7 +303,8 @@ Certifier::Certifier(const rsn::Network& net)
     : Certifier(rsn::FlatNetwork::lower(net)) {}
 
 Certifier::Certifier(std::shared_ptr<const rsn::FlatNetwork> flat)
-    : cv_(sim::ControlView::project(std::move(flat))) {
+    : flat_(std::move(flat)) {
+  RRSN_CHECK(flat_ != nullptr, "certifier needs a flat view");
   buildBase();
 }
 
@@ -329,7 +330,8 @@ void Certifier::lanePass(LaneScratch& s, std::uint64_t rootSeed,
       lanes |= s.selT[guardBranches_[j]];
     open[g] = lanes;
   }
-  const std::uint32_t root = topoIdx_[Forward ? cv_.scanIn : cv_.scanOut];
+  const std::uint32_t root =
+      topoIdx_[Forward ? flat_->scanIn() : flat_->scanOut()];
   // Broken positions are visited in pass order; `eventAt` is the next
   // one (`positions` once none is left).
   std::size_t ev = Forward ? 0 : s.breaks.size();
@@ -370,20 +372,24 @@ std::uint64_t Certifier::laneFixpoint(LaneScratch& s, std::uint64_t lanes,
   // bounds each lane anyway and exhaustion surfaces as Unknown, never
   // as a wrong verdict.  A converged lane rides along unchanged: its
   // sets are a fixpoint, so later passes recompute the same reach.
+  const rsn::FlatNetwork& net = *flat_;
+  const auto ctrlMuxes = net.ctrlMuxes();
+  const auto ctrlVertex = net.muxCtrlVertex();
+  const auto arity = net.muxArity();
+  const std::uint64_t* representableWords = net.representableWords().data();
   std::uint64_t pending = lanes;
   for (std::size_t iter = 0; pending != 0; ++iter) {
     if (iter >= budget) return pending;
     lanePass<true>(s, lanes, 0, lanes, false);
     std::uint64_t changed = 0;
-    for (const std::uint32_t m : cv_.ctrlMuxes) {
+    for (const std::uint32_t m : ctrlMuxes) {
       // A stuck mux is the fault, not a fixpoint target; lanes outside
       // this fixpoint keep their sets.
       const std::uint64_t keep = s.exempt[m] | ~lanes;
-      const std::uint64_t reach = s.col[topoIdx_[cv_.muxCtrlVertex[m]]];
+      const std::uint64_t reach = s.col[topoIdx_[ctrlVertex[m]]];
       std::uint64_t* words = s.selT.data() + branchBase_[m];
-      for (std::uint32_t b = 1; b < cv_.muxArity[m]; ++b) {
-        const bool representable = cv_.selectableBit(
-            cv_.representableWords.data(), m, b);
+      for (std::uint32_t b = 1; b < arity[m]; ++b) {
+        const bool representable = net.selectableBit(representableWords, m, b);
         const std::uint64_t next =
             words[b] & (representable ? reach | keep : keep);
         changed |= words[b] ^ next;
@@ -396,7 +402,14 @@ std::uint64_t Certifier::laneFixpoint(LaneScratch& s, std::uint64_t lanes,
 }
 
 void Certifier::buildBase() {
-  const std::size_t vertices = cv_.vertexCount;
+  const rsn::FlatNetwork& net = *flat_;
+  const std::size_t vertices = net.vertexCount();
+  const graph::VertexId scanIn = net.scanIn(), scanOut = net.scanOut();
+  const auto fwdOffsets = net.fwdOffsets(), bwdOffsets = net.bwdOffsets();
+  const auto fwdEdges = net.fwdEdges(), bwdEdges = net.bwdEdges();
+  const auto arity = net.muxArity();
+  const auto selOffset = net.selOffset();
+  const auto instrumentVertex = net.instrumentVertex();
 
   // Topological order of the full data graph (Kahn with a LIFO ready
   // stack, lowest id first — deterministic).  Following the last
@@ -406,7 +419,7 @@ void Certifier::buildBase() {
   // dominator passes.
   std::vector<std::uint32_t> indeg(vertices);
   for (std::size_t v = 0; v < vertices; ++v)
-    indeg[v] = cv_.bwdOffsets[v + 1] - cv_.bwdOffsets[v];
+    indeg[v] = bwdOffsets[v + 1] - bwdOffsets[v];
   order_.clear();
   order_.reserve(vertices);
   std::vector<graph::VertexId> ready;
@@ -416,8 +429,8 @@ void Certifier::buildBase() {
     const graph::VertexId v = ready.back();
     ready.pop_back();
     order_.push_back(v);
-    for (std::uint32_t i = cv_.fwdOffsets[v + 1]; i-- > cv_.fwdOffsets[v];) {
-      const graph::VertexId u = cv_.fwdEdges[i].other;
+    for (std::uint32_t i = fwdOffsets[v + 1]; i-- > fwdOffsets[v];) {
+      const graph::VertexId u = fwdEdges[i].other;
       if (--indeg[u] == 0) ready.push_back(u);
     }
   }
@@ -430,20 +443,21 @@ void Certifier::buildBase() {
   }
 
   // Lane CSR in position space; every guarded edge owns one guard.
-  const std::size_t muxes = cv_.muxArity.size();
+  const std::size_t muxes = arity.size();
   branchBase_.assign(muxes, 0);
   std::uint32_t nextWord = 0;
   for (std::size_t m = 0; m < muxes; ++m) {
     branchBase_[m] = nextWord;
-    nextWord += cv_.muxArity[m];
+    nextWord += arity[m];
   }
   selLaneWords_ = nextWord;
   guardOffsets_.assign(1, 0);
   guardBranches_.clear();
-  const auto laneEdge = [&](const sim::ControlView::Edge& e) {
+  const auto branchPool = net.branchPool();
+  const auto laneEdge = [&](const rsn::FlatNetwork::Edge& e) {
     if (e.mux == rsn::kNone) return LaneEdge{topoIdx_[e.other], 0};
     for (std::uint32_t i = e.branchBegin; i < e.branchEnd; ++i)
-      guardBranches_.push_back(branchBase_[e.mux] + cv_.branchPool[i]);
+      guardBranches_.push_back(branchBase_[e.mux] + branchPool[i]);
     guardOffsets_.push_back(static_cast<std::uint32_t>(guardBranches_.size()));
     return LaneEdge{topoIdx_[e.other],
                     static_cast<std::uint32_t>(guardOffsets_.size() - 1)};
@@ -451,19 +465,19 @@ void Certifier::buildBase() {
   inOffsets_.assign(vertices + 1, 0);
   outOffsets_.assign(vertices + 1, 0);
   inEdges_.clear();
-  inEdges_.reserve(cv_.bwdEdges.size());
+  inEdges_.reserve(bwdEdges.size());
   outEdges_.clear();
-  outEdges_.reserve(cv_.fwdEdges.size());
+  outEdges_.reserve(fwdEdges.size());
   ctrlRegAt_.assign(vertices, 0);
   for (std::size_t k = 0; k < vertices; ++k) {
     const graph::VertexId v = order_[k];
-    for (std::uint32_t i = cv_.bwdOffsets[v]; i < cv_.bwdOffsets[v + 1]; ++i)
-      inEdges_.push_back(laneEdge(cv_.bwdEdges[i]));
-    for (std::uint32_t i = cv_.fwdOffsets[v]; i < cv_.fwdOffsets[v + 1]; ++i)
-      outEdges_.push_back(laneEdge(cv_.fwdEdges[i]));
+    for (std::uint32_t i = bwdOffsets[v]; i < bwdOffsets[v + 1]; ++i)
+      inEdges_.push_back(laneEdge(bwdEdges[i]));
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i)
+      outEdges_.push_back(laneEdge(fwdEdges[i]));
     inOffsets_[k + 1] = static_cast<std::uint32_t>(inEdges_.size());
     outOffsets_[k + 1] = static_cast<std::uint32_t>(outEdges_.size());
-    ctrlRegAt_[k] = cv_.ctrlRegVertex[v];
+    ctrlRegAt_[k] = net.ctrlRegVertex()[v];
   }
   // A position whose only in-edge (out-edge) is an unguarded one from
   // (to) its neighbour position inherits that neighbour's column word.
@@ -495,15 +509,15 @@ void Certifier::buildBase() {
   outStrict0_ = DynamicBitset(vertices);
   for (std::size_t k = 0; k < vertices; ++k)
     if (s.col[k] & 1) outStrict0_.set(order_[k]);
-  sel0_.assign(cv_.selWordCount, 0);
+  sel0_.assign(net.selWordCount(), 0);
   for (std::size_t m = 0; m < muxes; ++m)
-    for (std::uint32_t b = 0; b < cv_.muxArity[m]; ++b)
+    for (std::uint32_t b = 0; b < arity[m]; ++b)
       if (s.selT[branchBase_[m] + b] & 1)
-        sel0_[cv_.selOffset[m] + (b >> 6)] |= 1ULL << (b & 63);
+        sel0_[selOffset[m] + (b >> 6)] |= 1ULL << (b & 63);
 
-  accessible0_ = DynamicBitset(cv_.instrumentVertex.size());
-  for (std::size_t i = 0; i < cv_.instrumentVertex.size(); ++i) {
-    const graph::VertexId v = cv_.instrumentVertex[i];
+  accessible0_ = DynamicBitset(instrumentVertex.size());
+  for (std::size_t i = 0; i < instrumentVertex.size(); ++i) {
+    const graph::VertexId v = instrumentVertex[i];
     if (inStrict0_.test(v) && outStrict0_.test(v)) accessible0_.set(i);
   }
 
@@ -512,16 +526,16 @@ void Certifier::buildBase() {
   // One topo-ordered pass suffices on a DAG: every predecessor is
   // final before its successor is visited.
   idom_.assign(vertices, graph::kNoVertex);
-  idom_[cv_.scanIn] = cv_.scanIn;
+  idom_[scanIn] = scanIn;
   for (std::size_t k = 0; k < vertices; ++k) {
     const graph::VertexId v = order_[k];
-    if (v == cv_.scanIn || !inStrict0_.test(v)) continue;
+    if (v == scanIn || !inStrict0_.test(v)) continue;
     graph::VertexId cand = graph::kNoVertex;
-    for (std::uint32_t i = cv_.bwdOffsets[v]; i < cv_.bwdOffsets[v + 1]; ++i) {
-      const sim::ControlView::Edge& e = cv_.bwdEdges[i];
+    for (std::uint32_t i = bwdOffsets[v]; i < bwdOffsets[v + 1]; ++i) {
+      const rsn::FlatNetwork::Edge& e = bwdEdges[i];
       const graph::VertexId u = e.other;
       if (!inStrict0_.test(u) || idom_[u] == graph::kNoVertex) continue;
-      if (!cv_.edgeOpen(e, sel0_.data())) continue;
+      if (!net.edgeOpen(e, sel0_.data())) continue;
       cand = cand == graph::kNoVertex ? u : intersect(cand, u, idom_, topoIdx_);
     }
     idom_[v] = cand;
@@ -530,24 +544,24 @@ void Certifier::buildBase() {
   // Immediate post-dominators: the same pass on the transposed open
   // subgraph, rooted at scan-out, in reverse topological order.
   ipdom_.assign(vertices, graph::kNoVertex);
-  ipdom_[cv_.scanOut] = cv_.scanOut;
+  ipdom_[scanOut] = scanOut;
   for (std::size_t k = vertices; k-- > 0;) {
     const graph::VertexId v = order_[k];
-    if (v == cv_.scanOut || !outStrict0_.test(v)) continue;
+    if (v == scanOut || !outStrict0_.test(v)) continue;
     graph::VertexId cand = graph::kNoVertex;
-    for (std::uint32_t i = cv_.fwdOffsets[v]; i < cv_.fwdOffsets[v + 1]; ++i) {
-      const sim::ControlView::Edge& e = cv_.fwdEdges[i];
+    for (std::uint32_t i = fwdOffsets[v]; i < fwdOffsets[v + 1]; ++i) {
+      const rsn::FlatNetwork::Edge& e = fwdEdges[i];
       const graph::VertexId u = e.other;
       if (!outStrict0_.test(u) || ipdom_[u] == graph::kNoVertex) continue;
-      if (!cv_.edgeOpen(e, sel0_.data())) continue;
+      if (!net.edgeOpen(e, sel0_.data())) continue;
       cand =
           cand == graph::kNoVertex ? u : intersect(cand, u, ipdom_, rtopoIdx_);
     }
     ipdom_[v] = cand;
   }
 
-  domIntervals(idom_, cv_.scanIn, domTin_, domTout_);
-  domIntervals(ipdom_, cv_.scanOut, pdomTin_, pdomTout_);
+  domIntervals(idom_, scanIn, domTin_, domTout_);
+  domIntervals(ipdom_, scanOut, pdomTin_, pdomTout_);
 
   // Control-critical set: every vertex that dominates some reachable
   // control register.  A break off this set provably leaves the control
@@ -555,12 +569,12 @@ void Certifier::buildBase() {
   // register's last scan-in path).  Chains share suffixes, so each walk
   // stops at the first already-marked vertex.
   ctrlCritical_ = DynamicBitset(vertices);
-  for (const std::uint32_t m : cv_.ctrlMuxes) {
-    graph::VertexId v = cv_.muxCtrlVertex[m];
+  for (const std::uint32_t m : net.ctrlMuxes()) {
+    graph::VertexId v = net.muxCtrlVertex()[m];
     if (!inStrict0_.test(v)) continue;
     while (!ctrlCritical_.test(v)) {
       ctrlCritical_.set(v);
-      if (v == cv_.scanIn) break;
+      if (v == scanIn) break;
       v = idom_[v];
     }
   }
@@ -569,31 +583,31 @@ void Certifier::buildBase() {
   // to {b} flips no guard decision taken under the fault-free final
   // sets — then the per-fault fixpoint provably converges to the same
   // solution and the whole row equals the fault-free row.
-  stuckSafe_.assign(cv_.selWordCount, 0);
+  stuckSafe_.assign(net.selWordCount(), 0);
   std::size_t maxWords = 0;
   for (std::size_t m = 0; m < muxes; ++m) {
-    const std::uint32_t off = cv_.selOffset[m];
-    const std::size_t arity = cv_.muxArity[m];
-    const std::size_t words = (arity + 63) / 64;
+    const std::uint32_t off = selOffset[m];
+    const std::size_t branches = arity[m];
+    const std::size_t words = (branches + 63) / 64;
     maxWords = std::max(maxWords, words);
     for (std::size_t w = 0; w < words; ++w) {
-      const bool tail = w == words - 1 && arity % 64 != 0;
-      stuckSafe_[off + w] = tail ? (1ULL << (arity % 64)) - 1 : ~0ULL;
+      const bool tail = w == words - 1 && branches % 64 != 0;
+      stuckSafe_[off + w] = tail ? (1ULL << (branches % 64)) - 1 : ~0ULL;
     }
   }
   std::vector<std::uint64_t> poolWords(maxWords);
-  for (const sim::ControlView::Edge& e : cv_.fwdEdges) {
+  for (const rsn::FlatNetwork::Edge& e : fwdEdges) {
     if (e.mux == rsn::kNone) continue;
-    const std::uint32_t off = cv_.selOffset[e.mux];
+    const std::uint32_t off = selOffset[e.mux];
     const std::size_t words =
-        (static_cast<std::size_t>(cv_.muxArity[e.mux]) + 63) / 64;
+        (static_cast<std::size_t>(arity[e.mux]) + 63) / 64;
     std::fill(poolWords.begin(),
               poolWords.begin() + static_cast<std::ptrdiff_t>(words), 0);
     for (std::uint32_t i = e.branchBegin; i < e.branchEnd; ++i) {
-      const std::uint32_t b = cv_.branchPool[i];
+      const std::uint32_t b = branchPool[i];
       poolWords[b >> 6] |= 1ULL << (b & 63);
     }
-    const bool open0 = cv_.edgeOpen(e, sel0_.data());
+    const bool open0 = net.edgeOpen(e, sel0_.data());
     for (std::size_t w = 0; w < words; ++w)
       stuckSafe_[off + w] &= open0 ? poolWords[w] : ~poolWords[w];
   }
@@ -611,18 +625,19 @@ bool Certifier::pdomAncestor(graph::VertexId a, graph::VertexId v) const {
 
 bool Certifier::tryFastRow(const fault::Fault& f,
                            std::uint16_t* rowCells) const {
-  const std::size_t instruments = cv_.instrumentVertex.size();
+  const auto instrumentVertex = flat_->instrumentVertex();
+  const std::size_t instruments = instrumentVertex.size();
   if (f.kind == fault::FaultKind::SegmentBreak) {
     const rsn::SegmentId seg = f.prim;
-    const graph::VertexId v = cv_.segmentVertex[seg];
+    const graph::VertexId v = flat_->segmentVertex()[seg];
     // A broken control register poisons its mux's address whenever the
     // region is walked (the clean-suffix carve-out), and a break that
     // dominates a reachable control register can shrink the fixpoint —
     // both need the lane tier.
-    if (cv_.segmentControlsMux(seg)) return false;
+    if (flat_->segmentControlsMux(seg)) return false;
     if (ctrlCritical_.test(v)) return false;
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId u = cv_.instrumentVertex[i];
+      const graph::VertexId u = instrumentVertex[i];
       if (u == v || !accessible0_.test(i)) continue;
       if (domAncestor(v, u) || pdomAncestor(v, u)) return false;
     }
@@ -630,7 +645,7 @@ bool Certifier::tryFastRow(const fault::Fault& f,
     // accessible instrument loses its strict path, so the oracle row
     // equals the fault-free row (breaks only ever shrink reaches).
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId u = cv_.instrumentVertex[i];
+      const graph::VertexId u = instrumentVertex[i];
       if (u == v)
         rowCells[i] = packCell(Verdict::Vulnerable, WitnessKind::SelfFault,
                                Verdict::Vulnerable, WitnessKind::SelfFault);
@@ -650,7 +665,7 @@ bool Certifier::tryFastRow(const fault::Fault& f,
   // converse is *not* monotone: an unsafe stuck branch can also expand
   // accessibility, because the stuck mux is exempt from the fixpoint's
   // reset pinning; those rows go to the lane tier.)
-  const std::uint32_t off = cv_.selOffset[f.prim];
+  const std::uint32_t off = flat_->selOffset()[f.prim];
   const std::uint32_t b = f.stuckBranch;
   if (((stuckSafe_[off + (b >> 6)] >> (b & 63)) & 1) == 0) return false;
   for (std::size_t i = 0; i < instruments; ++i) {
@@ -673,12 +688,15 @@ std::uint64_t Certifier::decideBatch(LaneScratch& s, std::size_t budget,
   // OR-ing per-instrument lanes and recording the first mode that
   // proved each direction.  Lanes only ever meet in bitwise ops, so a
   // row never depends on its batch-mates.
-  const std::size_t instruments = cv_.instrumentVertex.size();
+  const rsn::FlatNetwork& net = *flat_;
+  const auto instrumentVertex = net.instrumentVertex();
+  const auto segmentVertex = net.segmentVertex();
+  const auto ctrlMuxes = net.ctrlMuxes();
+  const auto arity = net.muxArity();
+  const std::size_t instruments = instrumentVertex.size();
   const std::uint64_t all =
       s.lanes == kLanes ? ~0ULL : (1ULL << s.lanes) - 1;
-  const auto pos = [&](std::size_t i) {
-    return topoIdx_[cv_.instrumentVertex[i]];
-  };
+  const auto pos = [&](std::size_t i) { return topoIdx_[instrumentVertex[i]]; };
 
   // Base selectable sets (a stuck lane keeps only its stuck branch),
   // stuck exemptions, and the broken positions.
@@ -691,17 +709,17 @@ std::uint64_t Certifier::decideBatch(LaneScratch& s, std::size_t budget,
     const fault::Fault& f = *s.faults[k];
     const std::uint64_t bit = 1ULL << k;
     if (f.kind == fault::FaultKind::SegmentBreak) {
-      const graph::VertexId v = cv_.segmentVertex[f.prim];
+      const graph::VertexId v = segmentVertex[f.prim];
       breakLanes |= bit;
-      if (!cv_.segmentControlsMux(f.prim)) suffixLanes |= bit;
+      if (!net.segmentControlsMux(f.prim)) suffixLanes |= bit;
       s.brokenPos[k] = topoIdx_[v];
       s.breaks.emplace_back(topoIdx_[v], bit);
       for (std::size_t i = 0; i < instruments; ++i)
-        if (cv_.instrumentVertex[i] == v) s.self[i] |= bit;
+        if (instrumentVertex[i] == v) s.self[i] |= bit;
     } else {
       s.exempt[f.prim] |= bit;
       std::uint64_t* words = s.selT.data() + branchBase_[f.prim];
-      for (std::uint32_t b = 0; b < cv_.muxArity[f.prim]; ++b)
+      for (std::uint32_t b = 0; b < arity[f.prim]; ++b)
         if (b != f.stuckBranch) words[b] &= ~bit;
     }
   }
@@ -734,12 +752,12 @@ std::uint64_t Certifier::decideBatch(LaneScratch& s, std::size_t budget,
   // mux's own pinning is the fault, not a collapse.
   s.collapsedMux.fill(rsn::kNone);
   std::uint64_t searching = live;
-  for (const std::uint32_t m : cv_.ctrlMuxes) {
+  for (const std::uint32_t m : ctrlMuxes) {
     if (searching == 0) break;
     const std::uint64_t* words = s.selT.data() + branchBase_[m];
     std::uint64_t lost = 0;
-    for (std::uint32_t b = 0; b < cv_.muxArity[m]; ++b)
-      if (cv_.selectableBit(sel0_.data(), m, b)) lost |= ~words[b];
+    for (std::uint32_t b = 0; b < arity[m]; ++b)
+      if (net.selectableBit(sel0_.data(), m, b)) lost |= ~words[b];
     lost &= searching & ~s.exempt[m];
     searching &= ~lost;
     for (; lost != 0; lost &= lost - 1)
@@ -784,15 +802,16 @@ std::uint64_t Certifier::decideBatch(LaneScratch& s, std::size_t budget,
   std::fill(s.setDepth.begin(), s.setDepth.end(), 0);
   const std::uint64_t breakLive = breakLanes & live;
   if (breakLive != 0) {
-    for (const std::uint32_t m : cv_.ctrlMuxes) {
+    const auto demandDepth = net.demandDepth();
+    const auto segDepth = net.segDepth();
+    for (const std::uint32_t m : ctrlMuxes) {
       std::uint64_t clear = 0;
       for (std::uint64_t lanes = breakLive; lanes != 0; lanes &= lanes - 1) {
         const auto k = static_cast<std::size_t>(std::countr_zero(lanes));
-        if (cv_.demandDepth[m] > cv_.segDepth[s.faults[k]->prim])
-          clear |= 1ULL << k;
+        if (demandDepth[m] > segDepth[s.faults[k]->prim]) clear |= 1ULL << k;
       }
       std::uint64_t* words = s.selT.data() + branchBase_[m];
-      for (std::uint32_t b = 1; b < cv_.muxArity[m] && clear != 0; ++b)
+      for (std::uint32_t b = 1; b < arity[m] && clear != 0; ++b)
         words[b] &= ~clear;
     }
     const std::uint64_t exhausted = laneFixpoint(s, breakLive, budget);
@@ -824,10 +843,10 @@ std::uint64_t Certifier::decideBatch(LaneScratch& s, std::size_t budget,
     result.collapsedMux[fi] = s.collapsedMux[k];
     const fault::Fault& f = *s.faults[k];
     const graph::VertexId brokenV = f.kind == fault::FaultKind::SegmentBreak
-                                        ? cv_.segmentVertex[f.prim]
+                                        ? segmentVertex[f.prim]
                                         : graph::kNoVertex;
     for (std::size_t i = 0; i < instruments; ++i) {
-      const graph::VertexId u = cv_.instrumentVertex[i];
+      const graph::VertexId u = instrumentVertex[i];
       const auto vuln = [&]() -> WitnessKind {
         if (u == brokenV) return WitnessKind::SelfFault;
         if (!accessible0_.test(i)) return WitnessKind::Unreachable;
@@ -866,7 +885,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
   RRSN_OBS_SPAN("verify.certify");
   obs::count(kCertifyCalls);
 
-  const rsn::FlatNetwork& flat = *cv_.flat;
+  const rsn::FlatNetwork& flat = *flat_;
   const std::size_t segments = flat.segmentCount();
   const std::size_t muxes = flat.muxCount();
   const std::size_t instruments = flat.instrumentCount();
@@ -894,7 +913,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
           fault::Fault::segmentBreak(static_cast<rsn::SegmentId>(s)));
   for (std::size_t m = 0; m < muxes; ++m) {
     if (excluded(segments + m)) continue;
-    for (std::uint32_t b = 0; b < cv_.muxArity[m]; ++b)
+    for (std::uint32_t b = 0; b < flat.muxArity()[m]; ++b)
       result.universe.push_back(
           fault::Fault::muxStuck(static_cast<rsn::MuxId>(m), b));
   }
@@ -905,7 +924,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
 
   std::unique_ptr<diag::BatchedSyndromeEngine> oracle;
   if (options.crossCheck)
-    oracle = std::make_unique<diag::BatchedSyndromeEngine>(cv_.flat);
+    oracle = std::make_unique<diag::BatchedSyndromeEngine>(flat_);
 
   // Per-worker lane scratch, allocated by the worker's first batch.
   std::vector<std::unique_ptr<LaneScratch>> scratch(threadCount());
@@ -949,7 +968,7 @@ CertificationResult Certifier::run(const CertifyOptions& options) const {
         if (sp == nullptr)
           sp = std::make_unique<LaneScratch>(
               order_.size(), selLaneWords_, guardOffsets_.size(),
-              cv_.muxArity.size(), instruments);
+              muxes, instruments);
         LaneScratch& s = *sp;
         for (std::size_t batch = begin; batch < end; ++batch) {
           const std::size_t first = batch * kLanes;
@@ -1018,7 +1037,7 @@ CertificationResult Certifier::runExact(
   options.crossCheck = crossCheckDefault();
   // Every non-final fixpoint iteration clears at least one selectable
   // branch, so the total branch count + 1 cannot run out.
-  const auto arity = cv_.flat->muxArity();
+  const auto arity = flat_->muxArity();
   options.fixpointBudget =
       std::accumulate(arity.begin(), arity.end(), std::size_t{1});
   CertificationResult result = run(options);

@@ -49,6 +49,11 @@
 // production engine for exact accessibility: fault-dictionary rows and
 // campaign oracle rows are projections of runExact().
 //
+// Layering: the certifier reads the arena's spans directly and, like
+// the batched engine, depends on nothing in src/sim/ (rrsn_verify does
+// not link the simulator), so the cycle-level simulator stays an
+// independent oracle of both.
+//
 // Determinism: every cell depends only on its fault (a lane never reads
 // another lane's bits); the fan-out runs over fixed 64-row windows of
 // the universe on the deterministic chunk grid, so results, work
@@ -64,7 +69,6 @@
 #include "fault/fault.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
-#include "sim/control_view.hpp"
 #include "support/bitset.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
@@ -237,7 +241,7 @@ class Certifier {
   /// crossCheckDefault(); an Unknown cell raises an internal error.
   CertificationResult runExact(DynamicBitset excludePrimitives = {}) const;
 
-  const rsn::FlatNetwork& flat() const { return *cv_.flat; }
+  const rsn::FlatNetwork& flat() const { return *flat_; }
 
  private:
   /// Fault rows decided per lane-tier batch: one bit of a uint64_t each.
@@ -281,7 +285,7 @@ class Certifier {
   bool domAncestor(graph::VertexId a, graph::VertexId v) const;
   bool pdomAncestor(graph::VertexId a, graph::VertexId v) const;
 
-  sim::ControlView cv_;
+  std::shared_ptr<const rsn::FlatNetwork> flat_;
 
   // ------------------------------------------------ fault-free base
   std::vector<std::uint64_t> sel0_;   ///< final fault-free selectable sets

@@ -461,7 +461,7 @@ TEST(Campaign, NoRerouteMeansNoRecovered) {
   const harden::FaultTolerantRsn ft =
       harden::augmentFaultTolerant(rsn::makeFig1Network());
   campaign::CampaignConfig config;
-  config.retarget.allowReroute = false;
+  config.retarget.maxReroutes = 0;
   const campaign::CampaignSummary s = runCampaign(ft.network, config).summary();
   EXPECT_EQ(s.readRecovered + s.writeRecovered, 0u);
 }

@@ -127,7 +127,9 @@ TEST(Simulator, OutOfRangeStuckBranchIsRejected) {
   ScanSimulator sim(net);
   EXPECT_THROW(sim.injectFault(Fault::muxStuck(m0, 2)), Error);
   EXPECT_THROW(sim.injectFaults({Fault::muxStuck(m0, 70000000)}), Error);
-  EXPECT_THROW(sim.addFault(Fault::muxStuck(m0, 7)), Error);
+  EXPECT_THROW(sim.injectFaults({Fault::muxStuck(m0, 1),
+                                 Fault::muxStuck(m0, 7)}),
+               Error);
   EXPECT_THROW(sim.injectFault(Fault::muxStuck(
                    static_cast<rsn::MuxId>(net.muxes().size()), 0)),
                Error);
@@ -375,7 +377,7 @@ TEST(RetargetBounds, RerouteBudgetIsHonored) {
   ScanSimulator noReroute(net);
   noReroute.injectFault(f);
   RetargetOptions off;
-  off.allowReroute = false;
+  off.maxReroutes = 0;
   const auto denied =
       Retargeter(noReroute, off).readInstrument(net.findInstrument("i3"));
 
@@ -414,12 +416,11 @@ TEST(MultiFault, TwoBreaksPoisonBothDownstreamRanges) {
 TEST(MultiFault, StuckMuxAndBreakCombine) {
   const rsn::Network net = makeFig1Network();
   ScanSimulator sim(net);
-  sim.injectFault(Fault::muxStuck(net.findMux("m0"), 1));
-  sim.addFault(Fault::segmentBreak(net.findSegment("c0")));
+  sim.injectFaults({Fault::muxStuck(net.findMux("m0"), 1),
+                    Fault::segmentBreak(net.findSegment("c0"))});
   ASSERT_EQ(sim.injectedFaults().size(), 2u);
-  // The single-fault view still reports the first injected fault.
-  ASSERT_TRUE(sim.injectedFault().has_value());
-  EXPECT_EQ(sim.injectedFault()->kind, fault::FaultKind::MuxStuck);
+  // Injection keeps the given order: the stuck mux comes first.
+  EXPECT_EQ(sim.injectedFaults().front().kind, fault::FaultKind::MuxStuck);
   // The stuck mux forces the bypass path c0 -> c1 regardless of the
   // address; the break on c0 then poisons everything downstream of it.
   EXPECT_EQ(sim.muxSelection(net.findMux("m0")), 1u);

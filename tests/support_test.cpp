@@ -414,7 +414,6 @@ TEST(ParallelEnv, ParseEnvCountClampsOutOfRange) {
 
 TEST(ParallelEnv, BoundsAreSane) {
   EXPECT_GE(detail::kMaxThreads, 64u);
-  EXPECT_GE(detail::kMaxGrain, std::size_t{1} << 20);
 }
 
 TEST(Status, DefaultIsOk) {

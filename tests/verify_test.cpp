@@ -20,6 +20,7 @@
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "rsn/example_networks.hpp"
+#include "support/hash.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
@@ -388,6 +389,90 @@ TEST(Certifier, WorkCountersIdenticalAcrossThreadCounts) {
   EXPECT_GT(deltas[0][1], 1u) << "the universe must span several batches";
   EXPECT_EQ(deltas[0], deltas[1]);
   EXPECT_EQ(deltas[0], deltas[2]);
+}
+
+// ------------------------------------------------------- golden pins
+
+/// FNV-1a digest of a string (the canonical JSON report).
+std::uint64_t digestOf(const std::string& text) {
+  std::uint64_t h = hash::kFnvOffset;
+  hash::fnvMix(h, text);
+  return h;
+}
+
+/// Every primitive whose linear id is a multiple of 3 — a fixed plan
+/// that drops segment breaks and whole mux-stuck groups alike.
+DynamicBitset everyThirdPrimitive(const rsn::Network& net) {
+  DynamicBitset plan(net.primitiveCount());
+  for (std::size_t p = 0; p < plan.size(); p += 3) plan.set(p);
+  return plan;
+}
+
+/// Digest of the batched engine's fault-free row followed by its row
+/// for every fault of the single-fault universe, in universe order.
+/// Rows are computed by the pool (one scratch lane per worker).
+std::uint64_t batchedRowsDigest(const rsn::Network& net) {
+  const diag::BatchedSyndromeEngine engine(net);
+  const fault::FaultUniverse universe(net);
+  const std::vector<fault::Fault>& faults = universe.faults();
+  std::vector<std::uint64_t> rows(faults.size());
+  parallelForChunks(
+      faults.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        for (std::size_t k = begin; k < end; ++k)
+          rows[k] = hash::fingerprint(engine.row(&faults[k], worker).passed);
+      },
+      /*grain=*/4);
+  std::uint64_t h = hash::kFnvOffset;
+  hash::fnvMix(h, hash::fingerprint(engine.row(nullptr, 0).passed));
+  for (const std::uint64_t row : rows) hash::fnvMix(h, row);
+  return h;
+}
+
+TEST(CertifierGolden, ReportsAndBatchedRowsMatchPinnedDigests) {
+  // Any change to a verdict, a witness or a syndrome bit of either
+  // exact engine moves one of these digests; a refactor must keep them.
+  struct Pin {
+    const char* design;
+    std::uint64_t fullReport;
+    std::uint64_t planReport;
+    std::uint64_t batchedRows;
+  };
+  const Pin pins[] = {
+      {"fig1", 0x7a8e994ccedbf87bULL, 0xdca9c2f3439c598bULL,
+       0xde3629100f17b30dULL},
+      {"TreeUnbalanced", 0x098ad29f9a1286edULL, 0xcb662d7a9c96ea2cULL,
+       0x114bef5ff224f5f0ULL},
+      {"q12710", 0x2b8fb16f4f946fcdULL, 0xb5f40856aef905cbULL,
+       0x47b12ad394e0155eULL},
+      {"p34392", 0x1a29031012173701ULL, 0x1f7d92d1a4901456ULL,
+       0x25673d0330f09f90ULL},
+      {"MBIST_1_5_20", 0x2166336ad2752789ULL, 0xa8739b0fe801a0fcULL,
+       0xc64387a34e061633ULL},
+  };
+  const std::size_t saved = threadCount();
+  for (const Pin& pin : pins) {
+    const std::string design = pin.design;
+    const rsn::Network net = design == "fig1"
+                                 ? rsn::makeFig1Network()
+                                 : benchgen::buildBenchmark(design);
+    CertifyOptions plan;
+    plan.excludePrimitives = everyThirdPrimitive(net);
+    for (const std::size_t threads : {1u, 4u}) {
+      setThreadCount(threads);
+      const Certifier certifier(net);
+      EXPECT_EQ(digestOf(json::serialize(reportJson(net, certifier.run()), 1)),
+                pin.fullReport)
+          << design << " full universe at " << threads << " threads";
+      EXPECT_EQ(
+          digestOf(json::serialize(reportJson(net, certifier.run(plan)), 1)),
+          pin.planReport)
+          << design << " with a plan at " << threads << " threads";
+      EXPECT_EQ(batchedRowsDigest(net), pin.batchedRows)
+          << design << " batched rows at " << threads << " threads";
+    }
+  }
+  setThreadCount(saved);
 }
 
 }  // namespace

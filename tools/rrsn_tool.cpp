@@ -36,6 +36,7 @@
 //                                                --checkpoint file, --batch N,
 //                                                --csv file, --json file,
 //                                                --max-reroutes N, --no-reroute
+//                                                (= --max-reroutes 0)
 //   rrsn_tool bench   <name>                     emit a Table-I benchmark as a
 //                                                netlist on stdout
 //   rrsn_tool certify <netlist> [options]        static robustness certifier:
@@ -421,8 +422,7 @@ int cmdCampaign(const Options& opt) {
   config.sampleFraction = opt.sampleFraction;
   if (opt.transientRounds) config.transientRounds = *opt.transientRounds;
   config.seed = opt.seed;
-  config.retarget.allowReroute = !opt.noReroute;
-  config.retarget.maxReroutes = opt.maxReroutes;
+  config.retarget.maxReroutes = opt.noReroute ? 0 : opt.maxReroutes;
   config.checkpointEvery = opt.batch;
   config.lint = !opt.noLint;
   if (opt.checkpoint) config.checkpointPath = *opt.checkpoint;
