@@ -10,10 +10,11 @@
 //   * semantic    — modeling smells: unconstrained (TAP-steered) muxes,
 //     shared control registers, control registers serially behind the
 //     mux they steer, orphan wires;
-//   * readiness   — analysis preconditions: non-SP regions that would
-//     force virtual-vertex insertion, decomposition-tree depth blowups,
-//     criticality specs with zero or non-dominant weights, hardened-set
-//     references to unknown primitives.
+//   * readiness   — analysis preconditions: decomposition-tree depth
+//     blowups, criticality specs with zero or non-dominant weights,
+//     hardened-set references to unknown primitives.  (No series-parallel
+//     check: the grammar only composes SP structures, so the scan graph
+//     is SP by construction.)
 //
 // Every finding carries a stable rule id, a severity, the source line of
 // its subject (when the netlist parser's NetlistSources side-table is
@@ -83,10 +84,6 @@ struct LintOptions {
   const rsn::NetlistSources* sources = nullptr;
   /// Only run error-severity rules (the fail-fast configuration).
   bool errorsOnly = false;
-  /// Skip the SP-recognition pass above this many flat-graph vertices
-  /// (the reduction is near-linear but not worth it on multi-100k-vertex
-  /// networks, which are SP by construction anyway).
-  std::size_t spCheckVertexCap = 50'000;
 };
 
 /// Outcome of a lint run: findings in deterministic order plus counts.

@@ -17,7 +17,6 @@
 #include "obs/obs.hpp"
 #include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
-#include "sp/sp_reduce.hpp"
 
 namespace rrsn::lint {
 namespace {
@@ -50,7 +49,6 @@ class Runner {
     checkStructureShape();
     checkConfusableNames();
     checkControlWiring();
-    checkSeriesParallelReadiness();
     checkTreeReadiness();
     if (opts_.spec != nullptr) checkSpec();
   }
@@ -352,18 +350,6 @@ class Runner {
                std::to_string(users[s].size()) +
                " muxes; they can only reconfigure together");
     }
-  }
-
-  // ---- ready.non-sp ----------------------------------------------------
-  void checkSeriesParallelReadiness() {
-    if (flat_.vertexCount() > opts_.spCheckVertexCap) return;
-    const sp::SpCheck check = sp::checkSeriesParallel(flat_);
-    if (check.isSeriesParallel) return;
-    emit("ready.non-sp", {},
-         "flat scan graph is not two-terminal series-parallel (" +
-             std::to_string(check.stuckVertices.size()) +
-             " vertices resist SP reduction); analysis will insert virtual "
-             "vertices");
   }
 
   // ---- ready.depth / sem.ctrl-downstream --------------------------------

@@ -49,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/digraph.hpp"
+#include "graph/vertex.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
 #include "support/io.hpp"

@@ -34,16 +34,4 @@ void Structure::setRoot(NodeId id) {
   root_ = id;
 }
 
-std::size_t Structure::countSegments(NodeId id) const {
-  std::size_t total = 0;
-  std::vector<NodeId> stack{id};
-  while (!stack.empty()) {
-    const Node& n = node(stack.back());
-    stack.pop_back();
-    if (n.kind == NodeKind::Segment) ++total;
-    for (NodeId c : n.children) stack.push_back(c);
-  }
-  return total;
-}
-
 }  // namespace rrsn::rsn

@@ -76,9 +76,6 @@ class Structure {
     }
   }
 
-  /// Total scan-segment leaves below a node (including the node itself).
-  std::size_t countSegments(NodeId id) const;
-
  private:
   std::vector<Node> nodes_;
   NodeId root_ = kNone;

@@ -109,19 +109,6 @@ char toChar(Verdict v) {
   return '?';
 }
 
-Verdict verdictFromChar(char c) {
-  switch (c) {
-    case 'P':
-      return Verdict::Proven;
-    case 'V':
-      return Verdict::Vulnerable;
-    case 'U':
-      return Verdict::Unknown;
-    default:
-      throw Error(std::string("unknown verdict character '") + c + "'");
-  }
-}
-
 const char* witnessKindName(WitnessKind k) {
   switch (k) {
     case WitnessKind::None:

@@ -80,7 +80,6 @@ enum class Verdict : std::uint8_t { Proven = 0, Vulnerable = 1, Unknown = 2 };
 /// 'P' / 'V' / 'U' — the per-instrument encoding used in reports and
 /// cached artifacts.
 char toChar(Verdict v);
-Verdict verdictFromChar(char c);
 
 /// Why a verdict holds.  Proven kinds name the surviving structure,
 /// Vulnerable kinds the severing one, Budget the bounded give-up.

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/registry.hpp"
-#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
-#include "sp/sp_reduce.hpp"
 
 namespace rrsn::benchgen {
 namespace {
@@ -67,16 +65,6 @@ TEST(LargeBenchmarks, CountsMatchTable1) {
     const rsn::Network net = buildBenchmark(spec);
     EXPECT_EQ(net.segments().size(), spec.segments) << name;
     EXPECT_EQ(net.muxes().size(), spec.muxes) << name;
-  }
-}
-
-TEST(Generators, SmallNetworksAreSeriesParallel) {
-  for (const char* name : {"TreeFlat", "TreeUnbalanced", "TreeBalanced",
-                           "TreeFlat_Ex", "q12710", "a586710", "MBIST_1_5_5"}) {
-    const rsn::Network net = buildBenchmark(name);
-    EXPECT_TRUE(sp::checkSeriesParallel(*rsn::FlatNetwork::lower(net))
-                    .isSeriesParallel)
-        << name;
   }
 }
 

@@ -52,41 +52,6 @@ TEST(Parallel, ForCoversEveryIndexExactlyOnce) {
   setThreadCount(1);
 }
 
-TEST(Parallel, MapProducesSlotPerIndex) {
-  const auto squares = withThreads(4, [] {
-    return parallelMap<std::uint64_t>(
-        2'000, [](std::size_t i) { return std::uint64_t{i} * i; });
-  });
-  ASSERT_EQ(squares.size(), 2'000u);
-  for (std::size_t i = 0; i < squares.size(); ++i)
-    ASSERT_EQ(squares[i], std::uint64_t{i} * i);
-}
-
-TEST(Parallel, ReduceMatchesSerialSumAndIsThreadCountIndependent) {
-  const std::size_t n = 12'345;
-  const auto sumAt = [&](std::size_t threads) {
-    return withThreads(threads, [&] {
-      return parallelReduce<std::uint64_t>(
-          n, 0, [](std::size_t i) { return std::uint64_t{i}; },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; });
-    });
-  };
-  EXPECT_EQ(sumAt(1), std::uint64_t{n} * (n - 1) / 2);
-  EXPECT_EQ(sumAt(1), sumAt(4));
-
-  // Floating-point: the chunked association must not depend on the pool
-  // width, so the bits agree too.
-  const auto fsumAt = [&](std::size_t threads) {
-    return withThreads(threads, [&] {
-      return parallelReduce<double>(
-          n, 0.0, [](std::size_t i) { return 1.0 / (1.0 + static_cast<double>(i)); },
-          [](double a, double b) { return a + b; });
-    });
-  };
-  EXPECT_EQ(fsumAt(1), fsumAt(4));
-  EXPECT_EQ(fsumAt(2), fsumAt(7));
-}
-
 TEST(Parallel, ExceptionsPropagateToCaller) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     setThreadCount(threads);

@@ -1,7 +1,7 @@
-// Cross-cutting property tests: randomized checks of the low-level
-// algorithms against their textbook definitions, and structural
-// invariants of the decomposition tree that the fast criticality walk
-// relies on.
+// Cross-cutting property tests: structural invariants of the
+// decomposition tree that the fast criticality walk relies on, lint
+// cleanliness of the generators, arena round trips, and the certifier
+// against its oracle on randomized and benchmark networks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "benchgen/registry.hpp"
 #include "campaign/campaign.hpp"
 #include "diag/batched.hpp"
-#include "graph/digraph.hpp"
 #include "lint/lint.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/spec.hpp"
@@ -22,78 +21,6 @@
 
 namespace rrsn {
 namespace {
-
-/// Random connected DAG with a unique source (vertex 0): every vertex
-/// v > 0 receives at least one edge from a smaller vertex.
-graph::Digraph randomDag(Rng& rng, std::size_t n, double extraEdgeProb) {
-  graph::Digraph g;
-  for (std::size_t v = 0; v < n; ++v) g.addVertex(test::indexedName("v", v));
-  for (graph::VertexId v = 1; v < n; ++v) {
-    const auto p = static_cast<graph::VertexId>(rng.below(v));
-    g.addEdge(p, v);
-    for (graph::VertexId u = 0; u < v; ++u) {
-      if (u != p && rng.chance(extraEdgeProb)) g.addEdge(u, v);
-    }
-  }
-  return g;
-}
-
-/// Definition-level dominance: `dom` dominates `v` iff removing `dom`
-/// disconnects `v` from the root (or dom == v).
-bool dominatesByDefinition(const graph::Digraph& g, graph::VertexId root,
-                           graph::VertexId dom, graph::VertexId v) {
-  if (dom == v) return true;
-  if (v == root) return false;
-  if (dom == root) return true;  // the root lies on every path trivially
-  // BFS from root avoiding `dom`.
-  std::vector<bool> seen(g.vertexCount(), false);
-  std::vector<graph::VertexId> work{root};
-  seen[root] = true;
-  while (!work.empty()) {
-    const graph::VertexId cur = work.back();
-    work.pop_back();
-    for (graph::VertexId s : g.successors(cur)) {
-      if (s == dom || seen[s]) continue;
-      seen[s] = true;
-      work.push_back(s);
-    }
-  }
-  return !seen[v];
-}
-
-class DominatorSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DominatorSweep, IdomMatchesDefinition) {
-  Rng rng(GetParam() * 101 + 7);
-  const graph::Digraph g = randomDag(rng, 24, 0.15);
-  const auto idom = graph::immediateDominators(g, 0);
-  for (graph::VertexId dom = 0; dom < g.vertexCount(); ++dom) {
-    for (graph::VertexId v = 0; v < g.vertexCount(); ++v) {
-      ASSERT_EQ(graph::dominates(idom, dom, v),
-                dominatesByDefinition(g, 0, dom, v))
-          << "seed=" << GetParam() << " dom=" << dom << " v=" << v;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DominatorSweep,
-                         ::testing::Range<std::uint64_t>(1, 13));
-
-class TopoSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(TopoSweep, OrderRespectsEveryEdge) {
-  Rng rng(GetParam() * 31 + 1);
-  const graph::Digraph g = randomDag(rng, 40, 0.1);
-  const auto order = graph::topologicalOrder(g);
-  ASSERT_EQ(order.size(), g.vertexCount());
-  std::vector<std::size_t> pos(g.vertexCount());
-  for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
-  for (graph::VertexId v = 0; v < g.vertexCount(); ++v)
-    for (graph::VertexId s : g.successors(v)) ASSERT_LT(pos[v], pos[s]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TopoSweep,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 // ------------------------------------------------- decomposition shape
 

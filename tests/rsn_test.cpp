@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "benchgen/registry.hpp"
 #include "rsn/builder.hpp"
 #include "rsn/example_networks.hpp"
 #include "rsn/flat.hpp"
@@ -114,29 +115,43 @@ TEST(FlatGraph, Fig1GraphIsTwoTerminalDag) {
   const auto flat = FlatNetwork::lower(net);
   // SI + SO + 7 segments + 4 muxes + 4 fan-outs = 17 vertices.
   EXPECT_EQ(flat->vertexCount(), 17u);
-  EXPECT_TRUE(graph::isTwoTerminalDag(test::digraphOf(*flat), flat->scanIn(),
-                                      flat->scanOut()));
+  EXPECT_TRUE(test::isTwoTerminalDag(*flat));
+}
+
+TEST(FlatGraph, RandomAndSmallBenchmarkGraphsAreTwoTerminalDags) {
+  // The grammar only composes hierarchical SP structures, so every
+  // lowered scan graph is a two-terminal DAG between SI and SO.
+  Rng rng(17);
+  for (int round = 0; round < 8; ++round) {
+    const Network net = test::randomNetwork(rng);
+    EXPECT_TRUE(test::isTwoTerminalDag(*FlatNetwork::lower(net)))
+        << "round " << round;
+  }
+  for (const char* name : {"TreeFlat", "TreeUnbalanced", "TreeBalanced",
+                           "TreeFlat_Ex", "q12710", "a586710", "MBIST_1_5_5"}) {
+    const Network net = benchgen::buildBenchmark(name);
+    EXPECT_TRUE(test::isTwoTerminalDag(*FlatNetwork::lower(net))) << name;
+  }
 }
 
 TEST(FlatGraph, PaperFactM0DominatesC2) {
   // Sec. III: "Since all the paths through the segment c2 traverse the
-  // multiplexer m0, then m0 dominates c2" — on the reversed graph (data
-  // flows toward scan-out), i.e. m0 post-dominates c2.
+  // multiplexer m0, then m0 dominates c2" — with data flowing toward
+  // scan-out, i.e. m0 post-dominates c2: by definition, removing m0
+  // disconnects c2 from SO.
   const Network net = makeFig1Network();
   const auto flat = FlatNetwork::lower(net);
-  graph::Digraph rev;
-  for (graph::VertexId v = 0; v < flat->vertexCount(); ++v) rev.addVertex();
-  for (graph::VertexId v = 0; v < flat->vertexCount(); ++v)
-    for (auto e = flat->bwdOffsets()[v]; e < flat->bwdOffsets()[v + 1]; ++e)
-      rev.addEdge(v, flat->bwdEdges()[e].other);
-  const auto ipdom = graph::immediateDominators(rev, flat->scanOut());
   const auto c2 = flat->segmentVertex()[net.findSegment("c2")];
   const auto m0 = flat->muxVertex()[net.findMux("m0")];
   const auto m1 = flat->muxVertex()[net.findMux("m1")];
   const auto m2 = flat->muxVertex()[net.findMux("m2")];
-  EXPECT_TRUE(graph::dominates(ipdom, m0, c2));
+  EXPECT_TRUE(test::reachable(*flat, c2)[flat->scanOut()]);
+  EXPECT_FALSE(test::reachable(*flat, c2, false, m0)[flat->scanOut()]);
   // "The multiplexer m2 dominates m1":
-  EXPECT_TRUE(graph::dominates(ipdom, m2, m1));
+  EXPECT_TRUE(test::reachable(*flat, m1)[flat->scanOut()]);
+  EXPECT_FALSE(test::reachable(*flat, m1, false, m2)[flat->scanOut()]);
+  // m1 lies upstream of c2, so it does not post-dominate it.
+  EXPECT_TRUE(test::reachable(*flat, c2, false, m1)[flat->scanOut()]);
 }
 
 TEST(FlatGraph, MuxBranchExitsRecorded) {

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "rsn/example_networks.hpp"
-#include "rsn/flat.hpp"
 #include "sp/decomposition.hpp"
-#include "sp/sp_reduce.hpp"
 #include "test_util.hpp"
 
 namespace rrsn::sp {
@@ -113,77 +111,6 @@ TEST(Decomposition, AsciiAndDotRender) {
   const std::string dot = tree.toDot("fig3");
   EXPECT_NE(dot.find("palegreen"), std::string::npos);   // P vertices
   EXPECT_NE(dot.find("lightblue"), std::string::npos);   // S vertices
-}
-
-// ------------------------------------------------------------- SP check
-
-TEST(SpReduce, Fig1GraphIsSeriesParallel) {
-  const rsn::Network net = makeFig1Network();
-  const SpCheck check = checkSeriesParallel(*rsn::FlatNetwork::lower(net));
-  EXPECT_TRUE(check.isSeriesParallel);
-  EXPECT_TRUE(check.stuckVertices.empty());
-}
-
-TEST(SpReduce, AllRandomNetworksAreSp) {
-  Rng rng(17);
-  for (int round = 0; round < 8; ++round) {
-    const rsn::Network net = test::randomNetwork(rng);
-    EXPECT_TRUE(
-        checkSeriesParallel(*rsn::FlatNetwork::lower(net)).isSeriesParallel);
-  }
-}
-
-/// Wheatstone bridge: the canonical non-SP two-terminal DAG.
-graph::Digraph bridge(graph::VertexId& s, graph::VertexId& t) {
-  graph::Digraph g;
-  s = g.addVertex("s");
-  const auto a = g.addVertex("a");
-  const auto b = g.addVertex("b");
-  t = g.addVertex("t");
-  g.addEdge(s, a);
-  g.addEdge(s, b);
-  g.addEdge(a, b);  // the bridge edge
-  g.addEdge(a, t);
-  g.addEdge(b, t);
-  return g;
-}
-
-TEST(SpReduce, BridgeIsNotSp) {
-  graph::VertexId s, t;
-  const graph::Digraph g = bridge(s, t);
-  const SpCheck check = checkSeriesParallel(g, s, t);
-  EXPECT_FALSE(check.isSeriesParallel);
-  EXPECT_FALSE(check.stuckVertices.empty());
-}
-
-TEST(SpReduce, VirtualizationMakesBridgeSp) {
-  graph::VertexId s, t;
-  const graph::Digraph g = bridge(s, t);
-  const Virtualization virt = virtualizeToSp(g, s, t);
-  EXPECT_GT(virt.clonesAdded, 0u);
-  EXPECT_TRUE(
-      checkSeriesParallel(virt.graph, s, t).isSeriesParallel);
-  // Clones map back to original vertices.
-  for (graph::VertexId v = 0; v < virt.graph.vertexCount(); ++v)
-    EXPECT_LT(virt.originalOf[v], g.vertexCount());
-}
-
-TEST(SpReduce, VirtualizationIsIdentityOnSpGraphs) {
-  const rsn::Network net = makeFig1Network();
-  const auto flat = rsn::FlatNetwork::lower(net);
-  const graph::Digraph g = test::digraphOf(*flat);
-  const Virtualization virt = virtualizeToSp(g, flat->scanIn(), flat->scanOut());
-  EXPECT_EQ(virt.clonesAdded, 0u);
-  EXPECT_EQ(virt.graph.vertexCount(), g.vertexCount());
-}
-
-TEST(SpReduce, RequiresTwoTerminalDag) {
-  graph::Digraph g;
-  const auto a = g.addVertex();
-  const auto b = g.addVertex();
-  g.addEdge(a, b);
-  g.addEdge(b, a);
-  EXPECT_THROW(checkSeriesParallel(g, a, b), Error);
 }
 
 }  // namespace

@@ -115,15 +115,6 @@ TEST(Rng, SampleIndicesRejectsOversample) {
   EXPECT_THROW(rng.sampleIndices(3, 4), Error);
 }
 
-TEST(Rng, ForkIsIndependent) {
-  Rng parent(99);
-  Rng childA = parent.fork();
-  Rng childB = parent.fork();
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) equal += childA.next() == childB.next();
-  EXPECT_LT(equal, 4);
-}
-
 // ---------------------------------------------------------- DynamicBitset
 
 TEST(DynamicBitset, SetTestReset) {

@@ -1,12 +1,14 @@
 // Shared helpers for the test suite: a random hierarchical RSN generator
-// (for property tests comparing the fast analysis against the oracles)
-// and a random-spec shortcut.
+// (for property tests comparing the fast analysis against the oracles),
+// definition-level checks on the arena's scan graph and a random-spec
+// shortcut.
 #pragma once
 
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "graph/digraph.hpp"
+#include "graph/vertex.hpp"
 #include "rsn/builder.hpp"
 #include "rsn/flat.hpp"
 #include "rsn/network.hpp"
@@ -80,16 +82,56 @@ inline rsn::Network randomNetwork(Rng& rng, const RandomNetOptions& opt = {}) {
   return b.build();
 }
 
-/// The arena's scan graph copied into a generic Digraph (vertex ids and
-/// per-vertex edge order kept), for the general-graph algorithms:
-/// dominators, two-terminal checks, SP virtualization.
-inline graph::Digraph digraphOf(const rsn::FlatNetwork& flat) {
-  graph::Digraph g;
-  for (std::size_t v = 0; v < flat.vertexCount(); ++v) g.addVertex();
-  for (graph::VertexId v = 0; v < flat.vertexCount(); ++v)
-    for (auto e = flat.fwdOffsets()[v]; e < flat.fwdOffsets()[v + 1]; ++e)
-      g.addEdge(v, flat.fwdEdges()[e].other);
-  return g;
+/// Vertices of the arena's scan graph reachable from `from` by a plain
+/// BFS over the forward CSR (the backward CSR with `backward`), never
+/// entering `avoid`.  Independent of the lowering's own bookkeeping, so
+/// tests can check graph facts by their definitions.
+inline std::vector<bool> reachable(const rsn::FlatNetwork& flat,
+                                   graph::VertexId from, bool backward = false,
+                                   graph::VertexId avoid = graph::kNoVertex) {
+  const auto offsets = backward ? flat.bwdOffsets() : flat.fwdOffsets();
+  const auto edges = backward ? flat.bwdEdges() : flat.fwdEdges();
+  std::vector<bool> seen(flat.vertexCount(), false);
+  std::vector<graph::VertexId> queue{from};
+  seen[from] = true;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const graph::VertexId v = queue[head];
+    for (auto e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const graph::VertexId w = edges[e].other;
+      if (w == avoid || seen[w]) continue;
+      seen[w] = true;
+      queue.push_back(w);
+    }
+  }
+  return seen;
+}
+
+/// True if the arena's scan graph is a two-terminal DAG between SI and
+/// SO: Kahn's algorithm consumes every vertex (acyclic), and every vertex
+/// is reachable from SI and reaches SO.
+inline bool isTwoTerminalDag(const rsn::FlatNetwork& flat) {
+  const std::size_t n = flat.vertexCount();
+  const auto offsets = flat.fwdOffsets();
+  const auto edges = flat.fwdEdges();
+  std::vector<std::size_t> inDegree(n, 0);
+  for (std::size_t e = 0; e < edges.size(); ++e) ++inDegree[edges[e].other];
+  std::vector<graph::VertexId> ready;
+  for (graph::VertexId v = 0; v < n; ++v)
+    if (inDegree[v] == 0) ready.push_back(v);
+  std::size_t consumed = 0;
+  while (!ready.empty()) {
+    const graph::VertexId v = ready.back();
+    ready.pop_back();
+    ++consumed;
+    for (auto e = offsets[v]; e < offsets[v + 1]; ++e)
+      if (--inDegree[edges[e].other] == 0) ready.push_back(edges[e].other);
+  }
+  if (consumed != n) return false;
+  const std::vector<bool> fromSi = reachable(flat, flat.scanIn());
+  const std::vector<bool> toSo = reachable(flat, flat.scanOut(), true);
+  for (std::size_t v = 0; v < n; ++v)
+    if (!fromSi[v] || !toSo[v]) return false;
+  return true;
 }
 
 /// Random spec with the paper's 70/70/10/10 recipe.

@@ -1,6 +1,6 @@
 // rrsn_tool — command-line driver for the robust-RSN library.
 //
-//   rrsn_tool info    <netlist>                  network statistics + SP check
+//   rrsn_tool info    <netlist>                  network statistics
 //   rrsn_tool dot     <netlist>                  Graphviz DOT of the graph model
 //   rrsn_tool tree    <netlist>                  annotated decomposition tree
 //   rrsn_tool analyze <netlist> [options]        criticality report (top k)
@@ -90,7 +90,6 @@
 #include "sim/retarget.hpp"
 #include "sp/decomposition.hpp"
 #include "verify/certifier.hpp"
-#include "sp/sp_reduce.hpp"
 #include "support/io.hpp"
 #include "support/strings.hpp"
 
@@ -232,6 +231,16 @@ void checkStreamWrite(std::ostream& out, const std::string& what) {
   if (!out) throw IoError("short write to " + what);
 }
 
+/// Opens the file named by an output flag (--plan-out, --csv, --json,
+/// --sarif, --trace, --metrics); a path that cannot be opened is a user
+/// error, reported as such.
+std::ofstream openOutput(const std::string& path, const std::string& what,
+                         std::ios::openmode mode = std::ios::out) {
+  std::ofstream out(path, mode);
+  if (!out) throw IoError("cannot write " + what + " '" + path + "'");
+  return out;
+}
+
 rsn::Network loadNetwork(const std::string& path) {
   if (path == "-") return rsn::parseNetlist(std::cin);
   // `example:<name>` resolves the built-in example networks, so every
@@ -258,12 +267,14 @@ fault::Fault parseFault(const rsn::Network& net, const rsn::FlatNetwork& flat,
   const auto parts = split(text, ':');
   if (parts.size() == 2 && parts[0] == "break") {
     const rsn::SegmentId seg = net.findSegment(parts[1]);
-    RRSN_CHECK(seg != rsn::kNone, "unknown segment '" + parts[1] + "'");
+    if (seg == rsn::kNone)
+      throw UsageError("--fault names unknown segment '" + parts[1] + "'");
     return fault::Fault::segmentBreak(seg);
   }
   if (parts.size() == 3 && parts[0] == "stuck") {
     const rsn::MuxId mux = net.findMux(parts[1]);
-    RRSN_CHECK(mux != rsn::kNone, "unknown mux '" + parts[1] + "'");
+    if (mux == rsn::kNone)
+      throw UsageError("--fault names unknown mux '" + parts[1] + "'");
     const std::uint32_t arity = flat.muxArity()[mux];
     return fault::Fault::muxStuck(
         mux, static_cast<std::uint32_t>(parseUintBounded(
@@ -284,9 +295,6 @@ int cmdInfo(const Options& opt) {
             << "instruments:   " << s.instruments << '\n'
             << "scan cells:    " << s.scanCells << '\n'
             << "mux nesting:   " << s.maxMuxNesting << '\n';
-  const auto check = sp::checkSeriesParallel(*rsn::FlatNetwork::lower(net));
-  std::cout << "series-parallel: " << (check.isSeriesParallel ? "yes" : "no")
-            << '\n';
   const auto tree = sp::DecompositionTree::build(net);
   std::cout << "decomposition tree: " << tree.nodeCount() << " nodes, depth "
             << tree.depth() << '\n';
@@ -343,9 +351,7 @@ int cmdHarden(const Options& opt) {
     const harden::HardeningPlan plan(net, sols.minCost->genome);
     std::cout << "\nmin cost @ damage <= 10%:\n" << plan.report(analysis);
     if (opt.planOut) {
-      std::ofstream out(*opt.planOut);
-      RRSN_CHECK(static_cast<bool>(out),
-                 "cannot write plan '" + *opt.planOut + "'");
+      std::ofstream out = openOutput(*opt.planOut, "plan");
       harden::writePlan(out, plan);
       checkStreamWrite(out, "plan '" + *opt.planOut + "'");
       std::cout << "plan written to " << *opt.planOut << '\n';
@@ -363,8 +369,8 @@ int cmdAccess(const Options& opt) {
   if (opt.positional.size() < 2) usage();
   const rsn::Network net = loadNetwork(opt.positional[0]);
   const rsn::InstrumentId inst = net.findInstrument(opt.positional[1]);
-  RRSN_CHECK(inst != rsn::kNone,
-             "unknown instrument '" + opt.positional[1] + "'");
+  if (inst == rsn::kNone)
+    throw Error("unknown instrument '" + opt.positional[1] + "'");
   const auto flat = rsn::FlatNetwork::lower(net);
   sim::ScanSimulator simulator(net);
   if (opt.faultText)
@@ -386,7 +392,7 @@ int cmdAccess(const Options& opt) {
 
 int cmdDiagnose(const Options& opt) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
-  RRSN_CHECK(opt.faultText.has_value(), "diagnose requires --fault");
+  if (!opt.faultText) throw UsageError("diagnose requires --fault");
   const fault::Fault f =
       parseFault(net, *rsn::FlatNetwork::lower(net), *opt.faultText);
   const auto dict = diag::FaultDictionary::build(net);
@@ -476,17 +482,13 @@ int cmdCampaign(const Options& opt) {
   }
 
   if (opt.csvOut) {
-    std::ofstream out(*opt.csvOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write csv '" + *opt.csvOut + "'");
+    std::ofstream out = openOutput(*opt.csvOut, "csv");
     out << campaign::outcomeTable(net, result).renderCsv();
     checkStreamWrite(out, "csv '" + *opt.csvOut + "'");
     std::cout << "\nper-fault outcomes written to " << *opt.csvOut << '\n';
   }
   if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
+    std::ofstream out = openOutput(*opt.jsonOut, "json");
     out << json::serialize(campaign::reportJson(net, result), 1) << '\n';
     checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
     std::cout << "report written to " << *opt.jsonOut << '\n';
@@ -555,16 +557,12 @@ int cmdLint(const Options& opt) {
   const std::string artifact = path == "-" ? "<stdin>" : path;
   std::cout << lint::textReport(result, artifact);
   if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
+    std::ofstream out = openOutput(*opt.jsonOut, "json");
     out << json::serialize(lint::jsonReport(result, artifact), 1) << '\n';
     checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
   }
   if (opt.sarifOut) {
-    std::ofstream out(*opt.sarifOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write sarif '" + *opt.sarifOut + "'");
+    std::ofstream out = openOutput(*opt.sarifOut, "sarif");
     out << json::serialize(lint::sarifReport(result, artifact), 1) << '\n';
     checkStreamWrite(out, "sarif '" + *opt.sarifOut + "'");
   }
@@ -587,8 +585,9 @@ DynamicBitset loadExclusions(const rsn::Network& net,
       continue;
     }
     const rsn::MuxId mux = net.findMux(name);
-    RRSN_CHECK(mux != rsn::kNone,
-               "plan names unknown primitive '" + name + "'");
+    if (mux == rsn::kNone)
+      throw Error("plan '" + path + "' names unknown primitive '" + name +
+                  "'");
     excluded.set(net.linearId({rsn::PrimitiveRef::Kind::Mux, mux}));
   }
   return excluded;
@@ -629,17 +628,13 @@ int cmdCertify(const Options& opt) {
   }
 
   if (opt.jsonOut) {
-    std::ofstream out(*opt.jsonOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write json '" + *opt.jsonOut + "'");
+    std::ofstream out = openOutput(*opt.jsonOut, "json");
     out << json::serialize(verify::reportJson(net, result), 1) << '\n';
     checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
     std::cout << "report written to " << *opt.jsonOut << '\n';
   }
   if (opt.sarifOut) {
-    std::ofstream out(*opt.sarifOut);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write sarif '" + *opt.sarifOut + "'");
+    std::ofstream out = openOutput(*opt.sarifOut, "sarif");
     const std::string artifact =
         opt.positional[0] == "-" ? "<stdin>" : opt.positional[0];
     out << json::serialize(verify::sarifReport(net, result, artifact), 1)
@@ -672,17 +667,15 @@ void exportObservability(const Options& opt) {
   if (!opt.traceOut && !opt.metricsOut && !obs::enabled()) return;
   const obs::Snapshot snap = obs::snapshot();
   if (opt.traceOut) {
-    std::ofstream out(*opt.traceOut, std::ios::binary);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write trace '" + *opt.traceOut + "'");
+    std::ofstream out =
+        openOutput(*opt.traceOut, "trace", std::ios::binary);
     out << obs::traceEventJson(snap) << '\n';
     checkStreamWrite(out, "trace '" + *opt.traceOut + "'");
     std::cerr << "trace written to " << *opt.traceOut << '\n';
   }
   if (opt.metricsOut) {
-    std::ofstream out(*opt.metricsOut, std::ios::binary);
-    RRSN_CHECK(static_cast<bool>(out),
-               "cannot write metrics '" + *opt.metricsOut + "'");
+    std::ofstream out =
+        openOutput(*opt.metricsOut, "metrics", std::ios::binary);
     out << json::serialize(obs::metricsJson(snap), 1) << '\n';
     checkStreamWrite(out, "metrics '" + *opt.metricsOut + "'");
     std::cerr << "metrics written to " << *opt.metricsOut << '\n';
