@@ -12,7 +12,9 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "fault/effects.hpp"
 #include "rsn/example_networks.hpp"
+#include "rsn/flat.hpp"
 #include "sim/retarget.hpp"
 #include "support/table.hpp"
 
@@ -29,30 +31,33 @@ int main() {
     const rsn::Network net = std::string(name) == "fig1"
                                  ? rsn::makeFig1Network()
                                  : benchgen::buildBenchmark(name);
+    const auto flat = rsn::FlatNetwork::lower(net);
     const fault::FaultUniverse universe(net);
     const std::size_t n = net.instruments().size();
 
     std::size_t obsClaims = 0, obsConfirmed = 0;
     std::size_t setClaims = 0, setConfirmed = 0;
     for (const fault::Fault& f : universe.faults()) {
-      const sim::AccessReport structural =
-          sim::structuralAccessibility(net, &f);
+      const fault::AccessibilityLoss loss =
+          fault::lossUnderFaultGraph(*flat, f);
       const sim::AccessReport strict = sim::strictAccessibility(net, &f);
       for (rsn::InstrumentId i = 0; i < n; ++i) {
-        if (structural.observable.test(i)) {
+        const bool structuralObs = !loss.unobservable.test(i);
+        const bool structuralSet = !loss.unsettable.test(i);
+        if (structuralObs) {
           ++obsClaims;
           obsConfirmed += strict.observable.test(i);
         }
         // Sanity: strict accessibility must never exceed structural.
-        if (strict.observable.test(i) && !structural.observable.test(i)) {
+        if (strict.observable.test(i) && !structuralObs) {
           std::cerr << "BUG: strict > structural (obs) on " << name << '\n';
           return 1;
         }
-        if (structural.settable.test(i)) {
+        if (structuralSet) {
           ++setClaims;
           setConfirmed += strict.settable.test(i);
         }
-        if (strict.settable.test(i) && !structural.settable.test(i)) {
+        if (strict.settable.test(i) && !structuralSet) {
           std::cerr << "BUG: strict > structural (set) on " << name << '\n';
           return 1;
         }

@@ -6,21 +6,19 @@
 //   d_j = sum_i do_i * y_ij + sum_i ds_i * z_ij
 //
 // Segments have exactly one fault (break); a k-input multiplexer has k
-// stuck-at faults, combined into one damage value by a policy (the paper
-// speaks of "a defect" per primitive; WorstCase — the default — charges
-// the most damaging stuck value, which is the conservative choice for
-// hardening decisions).
+// stuck-at faults and is charged the most damaging one (the paper speaks
+// of "a defect" per primitive; the worst case is the conservative choice
+// for hardening decisions).
 //
 // CriticalityAnalyzer is the paper's fast hierarchical computation on the
 // annotated binary decomposition tree (O(N log N) total).
-// BruteForceAnalyzer recomputes every d_j from the flat-graph fault
+// bruteForceAnalysis recomputes every d_j from the flat-graph fault
 // oracle (O(N * E)) and exists purely to cross-check the fast path.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "fault/effects.hpp"
 #include "rsn/network.hpp"
 #include "rsn/spec.hpp"
 #include "sp/decomposition.hpp"
@@ -28,15 +26,7 @@
 
 namespace rrsn::crit {
 
-/// How the per-branch stuck-at damages of one mux are combined.
-enum class MuxDamagePolicy : std::uint8_t {
-  WorstCase,  ///< max over stuck values (default; conservative)
-  Sum,        ///< sum over stuck values
-  Mean,       ///< average over stuck values (rounded down)
-};
-
 struct AnalysisOptions {
-  MuxDamagePolicy muxPolicy = MuxDamagePolicy::WorstCase;
   /// Fail fast on networks with error-severity lint findings (control
   /// deadlocks, unreachable segments, ...): the analyzer throws
   /// lint::LintError from its constructor instead of computing damages
@@ -75,14 +65,9 @@ class CriticalityResult {
   std::uint64_t total_ = 0;
 };
 
-/// Fast hierarchical analysis on the annotated decomposition tree.
-///
-/// The per-fault damage walks run over a flat structure-of-arrays image
-/// of the annotated tree (contiguous parent/child/kind/sum arrays plus
-/// a CSR of mux branch roots), not the node objects — at 10^6 segments
-/// the pointer-model walk is memory-bound on scattered TreeNode loads.
-/// Debug builds cross-check every kernel result against
-/// fault::damageUnderFaultTree on the real tree.
+/// Fast hierarchical analysis on the annotated decomposition tree: a
+/// segment's damage is one break-region walk (O(tree depth)), a mux
+/// branch's stuck damage is O(1) from the tree's subtree sums.
 class CriticalityAnalyzer {
  public:
   CriticalityAnalyzer(const rsn::Network& net, const rsn::CriticalitySpec& spec,
@@ -91,40 +76,14 @@ class CriticalityAnalyzer {
   /// Runs (or re-runs) the analysis.
   CriticalityResult run() const;
 
-  /// The annotated decomposition tree (e.g. for figure rendering).
-  const sp::DecompositionTree& tree() const { return tree_; }
-
  private:
-  /// Flat SoA image of the annotated tree.  Node kinds collapse to the
-  /// two bits the damage walks branch on.
-  struct Kernel {
-    static constexpr std::uint8_t kSeries = 1;
-    static constexpr std::uint8_t kParallel = 2;
-
-    std::vector<std::uint32_t> parent, left, right;  ///< per tree node
-    std::vector<std::uint8_t> kind;                  ///< 0 / kSeries / kParallel
-    std::vector<std::uint64_t> sumObs, sumSet;       ///< subtree damages
-    std::vector<std::uint32_t> leafOfSegment;        ///< per segment
-    std::vector<std::uint8_t> segHasInstrument;      ///< per segment
-    /// Mux m's branch subtree roots: branchRoots[branchOffsets[m],
-    /// branchOffsets[m + 1]).
-    std::vector<std::uint32_t> branchOffsets, branchRoots;
-
-    std::uint64_t segmentBreakDamage(std::uint32_t s) const;
-    std::uint64_t muxStuckDamage(std::uint32_t m, std::uint32_t stuck) const;
-  };
-
   const rsn::Network* net_;
-  const rsn::CriticalitySpec* spec_;
-  AnalysisOptions options_;
   sp::DecompositionTree tree_;
-  Kernel kernel_;
 };
 
 /// Oracle analysis from the flat-graph fault effects; cross-checks the
 /// fast path in tests.  Quadratic — use on small/medium networks only.
 CriticalityResult bruteForceAnalysis(const rsn::Network& net,
-                                     const rsn::CriticalitySpec& spec,
-                                     AnalysisOptions options = {});
+                                     const rsn::CriticalitySpec& spec);
 
 }  // namespace rrsn::crit

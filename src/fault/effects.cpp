@@ -17,7 +17,7 @@ void collectInstruments(const DecompositionTree& tree, TreeId id,
                         const rsn::Network& net) {
   std::vector<TreeId> stack{id};
   while (!stack.empty()) {
-    const auto& n = tree.node(stack.back());
+    const sp::TreeNode n = tree.node(stack.back());
     stack.pop_back();
     if (n.kind == TreeKind::LeafSegment) {
       const InstrumentId inst = net.segment(n.prim).instrument;
@@ -42,7 +42,7 @@ AccessibilityLoss lossUnderFaultTree(const DecompositionTree& tree,
     // Every non-selected branch is disconnected both ways (Fig. 4):
     // collect each branch's instruments once, then merge the set into
     // both directions with word-level unions.
-    const auto& branches = tree.branchesOfMux(f.prim);
+    const auto branches = tree.branchesOfMux(f.prim);
     RRSN_CHECK(f.stuckBranch < branches.size(), "stuck branch out of range");
     DynamicBitset branchInstruments(net.instruments().size());
     for (std::size_t b = 0; b < branches.size(); ++b) {
@@ -59,27 +59,15 @@ AccessibilityLoss lossUnderFaultTree(const DecompositionTree& tree,
   // of the closest parental multiplexer, everything on the scan-in side
   // (left in the in-order leaf sequence) loses observability and
   // everything on the scan-out side loses settability.
-  const TreeId leaf = tree.leafOfSegment(f.prim);
-  {
-    const InstrumentId inst = net.segment(f.prim).instrument;
-    if (inst != rsn::kNone) {
-      loss.unobservable.set(inst);
-      loss.unsettable.set(inst);
-    }
+  const InstrumentId inst = net.segment(f.prim).instrument;
+  if (inst != rsn::kNone) {
+    loss.unobservable.set(inst);
+    loss.unsettable.set(inst);
   }
-  TreeId cur = leaf;
-  TreeId parent = tree.node(cur).parent;
-  while (parent != sp::kNoTree && tree.node(parent).kind != TreeKind::Parallel) {
-    const auto& p = tree.node(parent);
-    if (p.kind == TreeKind::Series) {
-      if (p.right == cur)
-        collectInstruments(tree, p.left, loss.unobservable, net);
-      else
-        collectInstruments(tree, p.right, loss.unsettable, net);
-    }
-    cur = parent;
-    parent = p.parent;
-  }
+  tree.forEachBreakSibling(f.prim, [&](TreeId sibling, bool upstream) {
+    collectInstruments(tree, sibling,
+                       upstream ? loss.unobservable : loss.unsettable, net);
+  });
   return loss;
 }
 
@@ -189,44 +177,6 @@ std::uint64_t damageOfLoss(const rsn::CriticalitySpec& spec,
   loss.unsettable.forEachSet([&](std::size_t i) {
     damage += spec.of(static_cast<InstrumentId>(i)).set;
   });
-  return damage;
-}
-
-std::uint64_t damageUnderFaultTree(const DecompositionTree& tree,
-                                   const Fault& f) {
-  const rsn::Network& net = tree.network();
-  if (f.kind == FaultKind::MuxStuck) {
-    const auto& branches = tree.branchesOfMux(f.prim);
-    RRSN_CHECK(f.stuckBranch < branches.size(), "stuck branch out of range");
-    std::uint64_t damage = 0;
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-      if (b == f.stuckBranch) continue;
-      const auto& n = tree.node(branches[b]);
-      damage += n.sumObs + n.sumSet;
-    }
-    return damage;
-  }
-
-  std::uint64_t damage = 0;
-  const InstrumentId inst = net.segment(f.prim).instrument;
-  if (inst != rsn::kNone) {
-    const auto& leaf = tree.node(tree.leafOfSegment(f.prim));
-    damage += leaf.sumObs + leaf.sumSet;
-  }
-  TreeId cur = tree.leafOfSegment(f.prim);
-  TreeId parent = tree.node(cur).parent;
-  while (parent != sp::kNoTree &&
-         tree.node(parent).kind != TreeKind::Parallel) {
-    const auto& p = tree.node(parent);
-    if (p.kind == TreeKind::Series) {
-      if (p.right == cur)
-        damage += tree.node(p.left).sumObs;   // upstream: unobservable
-      else
-        damage += tree.node(p.right).sumSet;  // downstream: unsettable
-    }
-    cur = parent;
-    parent = p.parent;
-  }
   return damage;
 }
 

@@ -3,7 +3,7 @@
 #include <istream>
 #include <ostream>
 
-#include "fault/fault.hpp"
+#include "fault/effects.hpp"
 #include "support/strings.hpp"
 
 namespace rrsn::harden {

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "crit/analyzer.hpp"
+#include "fault/fault.hpp"
 #include "harden/cost_model.hpp"
 #include "moo/baselines.hpp"
 #include "moo/pareto.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -327,14 +328,30 @@ std::shared_ptr<const FlatNetwork> FlatNetwork::lower(
   // --------------------------------------------------- guarded CSR
   // Branch span of the original edge exit -> mux(m): every branch of m
   // whose exit vertex is `exit` (parallel edges share the full span).
+  // Each mux row is bucketed by exit once — branch ids stably sorted by
+  // exit vertex — so an edge finds its span by binary search instead of
+  // scanning all branches of m.
+  std::vector<std::uint32_t> branchesByExit(muxBranchExit.size());
+  for (std::size_t m = 0; m < muxCount; ++m) {
+    const auto row = branchesByExit.begin() + muxBranchOffsets[m];
+    const graph::VertexId* exits = muxBranchExit.data() + muxBranchOffsets[m];
+    std::iota(row, row + muxArity[m], 0U);
+    std::stable_sort(row, row + muxArity[m],
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return exits[a] < exits[b];
+                     });
+  }
   std::vector<std::uint32_t> branchPool;
   const auto annotate = [&](Edge& e, std::uint32_t m, graph::VertexId exit) {
     e.mux = m;
     if (m == kNone) return;
+    const auto row = branchesByExit.begin() + muxBranchOffsets[m];
+    const graph::VertexId* exits = muxBranchExit.data() + muxBranchOffsets[m];
+    const auto span = std::ranges::equal_range(
+        row, row + muxArity[m], exit, {},
+        [&](std::uint32_t b) { return exits[b]; });
     e.branchBegin = static_cast<std::uint32_t>(branchPool.size());
-    for (std::uint32_t b = 0; b < muxArity[m]; ++b)
-      if (muxBranchExit[muxBranchOffsets[m] + b] == exit)
-        branchPool.push_back(b);
+    branchPool.insert(branchPool.end(), span.begin(), span.end());
     e.branchEnd = static_cast<std::uint32_t>(branchPool.size());
   };
   for (graph::VertexId v = 0; v < vertices; ++v) {

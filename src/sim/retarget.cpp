@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "fault/effects.hpp"
 #include "obs/obs.hpp"
 
 namespace rrsn::sim {
@@ -578,25 +577,6 @@ AccessReport strictAccessibility(const rsn::Network& net,
   return probeAccessSet(net, rsn::FlatNetwork::lower(net),
                         f != nullptr ? std::vector<fault::Fault>{*f}
                                      : std::vector<fault::Fault>{});
-}
-
-AccessReport structuralAccessibility(const rsn::Network& net,
-                                     const fault::Fault* f) {
-  AccessReport report;
-  const std::size_t n = net.instruments().size();
-  report.observable = DynamicBitset(n);
-  report.settable = DynamicBitset(n);
-  report.observable.setAll();
-  report.settable.setAll();
-  if (f != nullptr) {
-    const auto loss =
-        fault::lossUnderFaultGraph(*rsn::FlatNetwork::lower(net), *f);
-    loss.unobservable.forEachSet(
-        [&](std::size_t i) { report.observable.reset(i); });
-    loss.unsettable.forEachSet(
-        [&](std::size_t i) { report.settable.reset(i); });
-  }
-  return report;
 }
 
 }  // namespace rrsn::sim

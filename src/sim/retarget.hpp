@@ -148,9 +148,4 @@ AccessReport probeAccessSet(const rsn::Network& net,
 AccessReport strictAccessibility(const rsn::Network& net,
                                  const fault::Fault* f);
 
-/// Structural accessibility from the flat-graph oracle (the paper's
-/// semantics): complements fault::lossUnderFaultGraph.
-AccessReport structuralAccessibility(const rsn::Network& net,
-                                     const fault::Fault* f);
-
 }  // namespace rrsn::sim

@@ -153,6 +153,52 @@ TEST(FlatNetwork, GoldenArenaPins) {
   }
 }
 
+// A mux's bypass wires all exit at its fan-out vertex, so each of the
+// parallel fan-out -> mux edges carries the span of every wire branch,
+// and every other branch has a one-branch span of its own exit.
+TEST(FlatNetwork, ParallelWireBranchesShareOneSpan) {
+  const Network net = test::wideMuxNetwork(2000);
+  const auto flat = FlatNetwork::lower(net);
+  const MuxId m = net.findMux("wide");
+  const graph::VertexId fanout = flat->fanoutVertex(m);
+  const graph::VertexId mx = flat->muxVertex()[m];
+  const auto exits = flat->muxBranchExit();
+  const std::uint32_t begin = flat->muxBranchOffsets()[m];
+  std::vector<std::uint32_t> wires;
+  for (std::uint32_t b = 0; b < flat->muxArity()[m]; ++b)
+    if (exits[begin + b] == fanout) wires.push_back(b);
+  ASSERT_EQ(wires.size(), 286u);  // branches 3, 10, ..., 1998
+
+  const auto pool = flat->branchPool();
+  const auto spanOf = [&](const FlatNetwork::Edge& e) {
+    return std::vector<std::uint32_t>(pool.begin() + e.branchBegin,
+                                      pool.begin() + e.branchEnd);
+  };
+  std::size_t parallel = 0;
+  for (auto e = flat->fwdOffsets()[fanout]; e < flat->fwdOffsets()[fanout + 1];
+       ++e) {
+    const auto& edge = flat->fwdEdges()[e];
+    if (edge.other != mx) continue;
+    ++parallel;
+    EXPECT_EQ(edge.mux, m);
+    EXPECT_EQ(spanOf(edge), wires);
+  }
+  EXPECT_EQ(parallel, wires.size());
+  std::size_t rows = 0;
+  for (auto e = flat->bwdOffsets()[mx]; e < flat->bwdOffsets()[mx + 1]; ++e) {
+    const auto& edge = flat->bwdEdges()[e];
+    ++rows;
+    if (edge.other == fanout) {
+      EXPECT_EQ(spanOf(edge), wires);
+      continue;
+    }
+    const auto span = spanOf(edge);
+    ASSERT_EQ(span.size(), 1u);
+    EXPECT_EQ(exits[begin + span[0]], edge.other);
+  }
+  EXPECT_EQ(rows, flat->muxArity()[m]);
+}
+
 // Independent check of the data graph and its guards: the simulator
 // walks the Structure tree, never the arena.  Every mux is pinned to a
 // random branch (a stuck fault ignores the address), and the active path

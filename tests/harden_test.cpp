@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "fault/effects.hpp"
 #include "harden/fault_tolerant.hpp"
 #include "harden/hardening.hpp"
 #include "moo/spea2.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fault/effects.hpp"
 #include "harden/fault_tolerant.hpp"
 #include "rsn/builder.hpp"
 #include "rsn/example_networks.hpp"
@@ -190,17 +191,19 @@ TEST(Retarget, StrictNeverExceedsStructural) {
   // the structural one: the structural analysis ignores how control bits
   // are applied.
   const rsn::Network net = makeFig1Network();
+  const auto flat = rsn::FlatNetwork::lower(net);
   const fault::FaultUniverse universe(net);
   for (const Fault& f : universe.faults()) {
     const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(net, &f);
+    const fault::AccessibilityLoss structural =
+        fault::lossUnderFaultGraph(*flat, f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
       if (strict.observable.test(i)) {
-        EXPECT_TRUE(structural.observable.test(i))
+        EXPECT_FALSE(structural.unobservable.test(i))
             << fault::describe(net, f) << " instrument " << i;
       }
       if (strict.settable.test(i)) {
-        EXPECT_TRUE(structural.settable.test(i))
+        EXPECT_FALSE(structural.unsettable.test(i))
             << fault::describe(net, f) << " instrument " << i;
       }
     }
@@ -215,14 +218,16 @@ TEST(Retarget, ControlDependencyGapExists) {
   // pass... This documents at least one instrument where strict is more
   // pessimistic than structural across the fault universe.
   const rsn::Network net = makeFig1Network();
+  const auto flat = rsn::FlatNetwork::lower(net);
   const fault::FaultUniverse universe(net);
   std::size_t gaps = 0;
   for (const Fault& f : universe.faults()) {
     const AccessReport strict = strictAccessibility(net, &f);
-    const AccessReport structural = structuralAccessibility(net, &f);
+    const fault::AccessibilityLoss structural =
+        fault::lossUnderFaultGraph(*flat, f);
     for (rsn::InstrumentId i = 0; i < net.instruments().size(); ++i) {
-      gaps += structural.observable.test(i) && !strict.observable.test(i);
-      gaps += structural.settable.test(i) && !strict.settable.test(i);
+      gaps += !structural.unobservable.test(i) && !strict.observable.test(i);
+      gaps += !structural.unsettable.test(i) && !strict.settable.test(i);
     }
   }
   EXPECT_GT(gaps, 0u);

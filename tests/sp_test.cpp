@@ -104,10 +104,30 @@ TEST(Decomposition, AsciiAndDotRender) {
   const rsn::Network net = makeFig1Network();
   DecompositionTree tree = DecompositionTree::build(net);
   tree.annotate(makeFig1Spec(net));
-  const std::string ascii = tree.toAscii();
-  EXPECT_NE(ascii.find("P[m0]"), std::string::npos);
-  EXPECT_NE(ascii.find("seg_i2"), std::string::npos);
-  EXPECT_NE(ascii.find("(do=3, ds=3)"), std::string::npos);
+  // Fig. 3 with the weight annotations of the Fig. 1 specification; the
+  // guides show which vertex each line hangs off.
+  EXPECT_EQ(tree.toAscii(), R"(S  (do=9, ds=9)
+|-- c0
+`-- S  (do=9, ds=9)
+    |-- P[m0]  (do=9, ds=9)
+    |   |-- S  (do=9, ds=9)
+    |   |   |-- S  (do=7, ds=4)
+    |   |   |   |-- S  (do=4, ds=1)
+    |   |   |   |   |-- P[sb1_mux]  (do=4, ds=1)
+    |   |   |   |   |   |-- ~
+    |   |   |   |   |   `-- seg_i1  (do=4, ds=1)
+    |   |   |   |   `-- sb1
+    |   |   |   `-- P[m1]  (do=3, ds=3)
+    |   |   |       |-- seg_i2  (do=3, ds=3)
+    |   |   |       `-- ~
+    |   |   `-- S  (do=2, ds=5)
+    |   |       |-- P[m2]  (do=2, ds=5)
+    |   |       |   |-- seg_i3  (do=2, ds=5)
+    |   |       |   `-- ~
+    |   |       `-- c2
+    |   `-- ~
+    `-- c1
+)");
   const std::string dot = tree.toDot("fig3");
   EXPECT_NE(dot.find("palegreen"), std::string::npos);   // P vertices
   EXPECT_NE(dot.find("lightblue"), std::string::npos);   // S vertices

@@ -135,6 +135,36 @@ inline bool isTwoTerminalDag(const rsn::FlatNetwork& flat) {
 }
 
 /// Random spec with the paper's 70/70/10/10 recipe.
+/// One TAP-addressed mux of `branches` branches between a head and a
+/// tail segment, mixing bypass wires (every seventh branch), segments
+/// with and without an instrument, two-segment chains and, in the
+/// middle, a SIB gating a nested two-way mux.
+inline rsn::Network wideMuxNetwork(std::size_t branches) {
+  rsn::NetworkBuilder b("wide_mux");
+  const auto head = b.segment("head", 2, "i_head");
+  std::vector<rsn::NodeId> arms;
+  arms.reserve(branches);
+  for (std::size_t k = 0; k < branches; ++k) {
+    const std::string id = std::to_string(k);
+    if (k == branches / 2) {
+      const auto inner = b.mux("inner", {b.segment("n0", 3, "i_n0"),
+                                         b.segment("n1", 1, "i_n1")});
+      arms.push_back(b.sib("sib", b.chain({b.segment("g", 2, "i_g"), inner})));
+    } else if (k % 7 == 3) {
+      arms.push_back(b.wire());
+    } else if (k % 5 == 1) {
+      arms.push_back(b.chain({b.segment("a" + id, 1, "i_a" + id),
+                              b.segment("b" + id, 2)}));
+    } else {
+      arms.push_back(
+          b.segment("s" + id, 1, k % 3 == 0 ? std::string{} : "i_s" + id));
+    }
+  }
+  const auto wide = b.mux("wide", std::move(arms));
+  b.setTop(b.chain({head, wide, b.segment("tail", 1, "i_tail")}));
+  return b.build();
+}
+
 inline rsn::CriticalitySpec randomSpecFor(const rsn::Network& net, Rng& rng) {
   return rsn::randomSpec(net, rsn::SpecOptions{}, rng);
 }

@@ -241,6 +241,30 @@ std::ofstream openOutput(const std::string& path, const std::string& what,
   return out;
 }
 
+/// Every output file a command was asked to write.  They are opened
+/// before the command runs, so a path that cannot be written fails at
+/// once, with nothing printed, instead of after the whole computation.
+struct OutputFiles {
+  std::optional<std::ofstream> plan, csv, json, sarif, trace, metrics;
+};
+
+OutputFiles openOutputs(const Options& opt) {
+  OutputFiles files;
+  const auto open = [](std::optional<std::ofstream>& file,
+                       const std::optional<std::string>& path,
+                       const std::string& what,
+                       std::ios::openmode mode = std::ios::out) {
+    if (path) file.emplace(openOutput(*path, what, mode));
+  };
+  open(files.plan, opt.planOut, "plan");
+  open(files.csv, opt.csvOut, "csv");
+  open(files.json, opt.jsonOut, "json");
+  open(files.sarif, opt.sarifOut, "sarif");
+  open(files.trace, opt.traceOut, "trace", std::ios::binary);
+  open(files.metrics, opt.metricsOut, "metrics", std::ios::binary);
+  return files;
+}
+
 rsn::Network loadNetwork(const std::string& path) {
   if (path == "-") return rsn::parseNetlist(std::cin);
   // `example:<name>` resolves the built-in example networks, so every
@@ -326,7 +350,7 @@ int cmdAnalyze(const Options& opt) {
   return 0;
 }
 
-int cmdHarden(const Options& opt) {
+int cmdHarden(const Options& opt, OutputFiles& files) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
   const auto spec = loadSpec(opt, net);
   crit::AnalysisOptions critOptions;
@@ -350,10 +374,9 @@ int cmdHarden(const Options& opt) {
   if (sols.minCost) {
     const harden::HardeningPlan plan(net, sols.minCost->genome);
     std::cout << "\nmin cost @ damage <= 10%:\n" << plan.report(analysis);
-    if (opt.planOut) {
-      std::ofstream out = openOutput(*opt.planOut, "plan");
-      harden::writePlan(out, plan);
-      checkStreamWrite(out, "plan '" + *opt.planOut + "'");
+    if (files.plan) {
+      harden::writePlan(*files.plan, plan);
+      checkStreamWrite(*files.plan, "plan '" + *opt.planOut + "'");
       std::cout << "plan written to " << *opt.planOut << '\n';
     }
   }
@@ -414,7 +437,7 @@ int cmdDiagnose(const Options& opt) {
   return 0;
 }
 
-int cmdCampaign(const Options& opt) {
+int cmdCampaign(const Options& opt, OutputFiles& files) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
 
   if (opt.pairs && opt.transientMode) {
@@ -481,16 +504,15 @@ int cmdCampaign(const Options& opt) {
               << s.oracleDisagreements << " (fault, instrument) pairs\n";
   }
 
-  if (opt.csvOut) {
-    std::ofstream out = openOutput(*opt.csvOut, "csv");
-    out << campaign::outcomeTable(net, result).renderCsv();
-    checkStreamWrite(out, "csv '" + *opt.csvOut + "'");
+  if (files.csv) {
+    *files.csv << campaign::outcomeTable(net, result).renderCsv();
+    checkStreamWrite(*files.csv, "csv '" + *opt.csvOut + "'");
     std::cout << "\nper-fault outcomes written to " << *opt.csvOut << '\n';
   }
-  if (opt.jsonOut) {
-    std::ofstream out = openOutput(*opt.jsonOut, "json");
-    out << json::serialize(campaign::reportJson(net, result), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
+  if (files.json) {
+    *files.json << json::serialize(campaign::reportJson(net, result), 1)
+                << '\n';
+    checkStreamWrite(*files.json, "json '" + *opt.jsonOut + "'");
     std::cout << "report written to " << *opt.jsonOut << '\n';
   }
   if (!s.complete()) {
@@ -515,7 +537,7 @@ int cmdBench(const Options& opt) {
   return 0;
 }
 
-int cmdLint(const Options& opt) {
+int cmdLint(const Options& opt, OutputFiles& files) {
   const std::string& path = opt.positional[0];
   lint::LintResult result;
   rsn::NetlistSources sources;
@@ -556,15 +578,15 @@ int cmdLint(const Options& opt) {
 
   const std::string artifact = path == "-" ? "<stdin>" : path;
   std::cout << lint::textReport(result, artifact);
-  if (opt.jsonOut) {
-    std::ofstream out = openOutput(*opt.jsonOut, "json");
-    out << json::serialize(lint::jsonReport(result, artifact), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
+  if (files.json) {
+    *files.json << json::serialize(lint::jsonReport(result, artifact), 1)
+                << '\n';
+    checkStreamWrite(*files.json, "json '" + *opt.jsonOut + "'");
   }
-  if (opt.sarifOut) {
-    std::ofstream out = openOutput(*opt.sarifOut, "sarif");
-    out << json::serialize(lint::sarifReport(result, artifact), 1) << '\n';
-    checkStreamWrite(out, "sarif '" + *opt.sarifOut + "'");
+  if (files.sarif) {
+    *files.sarif << json::serialize(lint::sarifReport(result, artifact), 1)
+                 << '\n';
+    checkStreamWrite(*files.sarif, "sarif '" + *opt.sarifOut + "'");
   }
   return result.clean() ? 0 : 1;
 }
@@ -593,7 +615,7 @@ DynamicBitset loadExclusions(const rsn::Network& net,
   return excluded;
 }
 
-int cmdCertify(const Options& opt) {
+int cmdCertify(const Options& opt, OutputFiles& files) {
   const rsn::Network net = loadNetwork(opt.positional[0]);
   const auto flat = rsn::FlatNetwork::lower(net);
   if (!opt.noLint) lint::enforceClean(net, *flat, "certification");
@@ -627,57 +649,53 @@ int cmdCertify(const Options& opt) {
                  "certification is incomplete\n";
   }
 
-  if (opt.jsonOut) {
-    std::ofstream out = openOutput(*opt.jsonOut, "json");
-    out << json::serialize(verify::reportJson(net, result), 1) << '\n';
-    checkStreamWrite(out, "json '" + *opt.jsonOut + "'");
+  if (files.json) {
+    *files.json << json::serialize(verify::reportJson(net, result), 1)
+                << '\n';
+    checkStreamWrite(*files.json, "json '" + *opt.jsonOut + "'");
     std::cout << "report written to " << *opt.jsonOut << '\n';
   }
-  if (opt.sarifOut) {
-    std::ofstream out = openOutput(*opt.sarifOut, "sarif");
+  if (files.sarif) {
     const std::string artifact =
         opt.positional[0] == "-" ? "<stdin>" : opt.positional[0];
-    out << json::serialize(verify::sarifReport(net, result, artifact), 1)
-        << '\n';
-    checkStreamWrite(out, "sarif '" + *opt.sarifOut + "'");
+    *files.sarif << json::serialize(
+                        verify::sarifReport(net, result, artifact), 1)
+                 << '\n';
+    checkStreamWrite(*files.sarif, "sarif '" + *opt.sarifOut + "'");
     std::cout << "sarif written to " << *opt.sarifOut << '\n';
   }
   return s.unknownCells() == 0 ? 0 : 1;
 }
 
-int dispatch(const Options& opt) {
+int dispatch(const Options& opt, OutputFiles& files) {
   if (opt.command == "info") return cmdInfo(opt);
   if (opt.command == "dot") return cmdDot(opt);
   if (opt.command == "tree") return cmdTree(opt);
   if (opt.command == "analyze") return cmdAnalyze(opt);
-  if (opt.command == "harden") return cmdHarden(opt);
+  if (opt.command == "harden") return cmdHarden(opt, files);
   if (opt.command == "access") return cmdAccess(opt);
   if (opt.command == "diagnose") return cmdDiagnose(opt);
-  if (opt.command == "campaign") return cmdCampaign(opt);
+  if (opt.command == "campaign") return cmdCampaign(opt, files);
   if (opt.command == "bench") return cmdBench(opt);
-  if (opt.command == "lint") return cmdLint(opt);
-  if (opt.command == "certify") return cmdCertify(opt);
+  if (opt.command == "lint") return cmdLint(opt, files);
+  if (opt.command == "certify") return cmdCertify(opt, files);
   usage();
 }
 
 /// Writes the requested trace / metrics exports and a timing summary to
 /// stderr (stdout carries the command's result and must stay identical
 /// with and without profiling).
-void exportObservability(const Options& opt) {
+void exportObservability(const Options& opt, OutputFiles& files) {
   if (!opt.traceOut && !opt.metricsOut && !obs::enabled()) return;
   const obs::Snapshot snap = obs::snapshot();
-  if (opt.traceOut) {
-    std::ofstream out =
-        openOutput(*opt.traceOut, "trace", std::ios::binary);
-    out << obs::traceEventJson(snap) << '\n';
-    checkStreamWrite(out, "trace '" + *opt.traceOut + "'");
+  if (files.trace) {
+    *files.trace << obs::traceEventJson(snap) << '\n';
+    checkStreamWrite(*files.trace, "trace '" + *opt.traceOut + "'");
     std::cerr << "trace written to " << *opt.traceOut << '\n';
   }
-  if (opt.metricsOut) {
-    std::ofstream out =
-        openOutput(*opt.metricsOut, "metrics", std::ios::binary);
-    out << json::serialize(obs::metricsJson(snap), 1) << '\n';
-    checkStreamWrite(out, "metrics '" + *opt.metricsOut + "'");
+  if (files.metrics) {
+    *files.metrics << json::serialize(obs::metricsJson(snap), 1) << '\n';
+    checkStreamWrite(*files.metrics, "metrics '" + *opt.metricsOut + "'");
     std::cerr << "metrics written to " << *opt.metricsOut << '\n';
   }
   if (opt.traceOut || opt.metricsOut)
@@ -694,13 +712,14 @@ int main(int argc, char** argv) {
   rrsn::io::ignoreSigpipe();
   try {
     const Options opt = parseArgs(argc, argv);
+    OutputFiles files = openOutputs(opt);
     if (opt.traceOut || opt.metricsOut) obs::enable();
-    const int code = dispatch(opt);
+    const int code = dispatch(opt, files);
     std::cout.flush();
     if (!std::cout) {
       throw rrsn::IoError("stdout write failed (consumer closed the pipe?)");
     }
-    exportObservability(opt);
+    exportObservability(opt, files);
     return code;
   } catch (const rrsn::UsageError& e) {
     std::cerr << "error: " << e.what() << '\n' << usageText();
